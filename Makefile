@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race fuzz-smoke bench bench-json bench-diff profile check fmt vet serve experiments report clean
+.PHONY: all build test ridbench-check race fuzz-smoke bench bench-json bench-diff profile check fmt vet serve experiments report clean
 
 all: check
 
@@ -9,6 +9,12 @@ build:
 
 test:
 	$(GO) test ./...
+
+# ridbench is a separate module (replace repro => ../) that the root ./...
+# does not cover; vet and test it so an internal API break shows up here.
+ridbench-check:
+	$(GO) -C ridbench vet ./...
+	$(GO) -C ridbench test ./...
 
 race:
 	$(GO) test -race ./internal/obs/ ./internal/diffusion/ ./internal/core/ ./internal/cascade/ ./internal/arbor/ ./internal/isomit/ ./internal/sgraph/ ./internal/par/ ./internal/influence/ ./internal/experiment/ ./internal/ingest/ ./internal/trace/ ./internal/server/ ./internal/profiling/ .
@@ -45,7 +51,7 @@ profile:
 	$(GO) test -bench=BenchmarkRIDEndToEnd -benchtime 5x -cpuprofile cpu.prof -o rid.test .
 	$(GO) tool pprof -top -nodecount 15 rid.test cpu.prof
 
-check: fmt vet test
+check: fmt vet test ridbench-check
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi

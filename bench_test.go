@@ -254,14 +254,14 @@ func BenchmarkArborLogVsLinear(b *testing.B) {
 	})
 	b.Run("linear", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := arbor.MaxForest(g.NumNodes(), edges, -1e9); err != nil {
+			if _, _, err := arbor.New(arbor.Options{}).MaxForest(g.NumNodes(), edges, -1e9); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("log", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := arbor.MaxForest(g.NumNodes(), logEdges, -1e9); err != nil {
+			if _, _, err := arbor.New(arbor.Options{}).MaxForest(g.NumNodes(), logEdges, -1e9); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -30,6 +30,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -125,7 +126,10 @@ func run(o options) error {
 		}
 		fmt.Printf("saved instance to %s (%s)\n", o.saveTrace, o.traceFormat)
 	}
-	d, err := detector(o.method, o.alpha, o.beta)
+	d, err := core.NewDetector(o.method, o.alpha, o.beta, 0)
+	if errors.Is(err, core.ErrUnknownDetector) {
+		return cli.Usagef("unknown method %q", o.method)
+	}
 	if err != nil {
 		return err
 	}
@@ -407,25 +411,4 @@ func writeInfectedDOT(path string, snap *cascade.Snapshot) error {
 	}
 	defer f.Close()
 	return sgraph.WriteDOT(f, sub.G, "infected", states)
-}
-
-func detector(method string, alpha, beta float64) (core.Detector, error) {
-	switch method {
-	case "rid":
-		return core.NewRID(core.RIDConfig{Alpha: alpha, Beta: beta})
-	case "rid-tree":
-		return core.NewRIDTree(alpha)
-	case "rid-positive":
-		return core.RIDPositive{}, nil
-	case "rumor-centrality":
-		return core.RumorCentrality{}, nil
-	case "jordan-center":
-		return core.JordanCenter{}, nil
-	case "degree-max":
-		return core.DegreeMax{}, nil
-	case "ensemble":
-		return core.NewEnsemble(alpha, []float64{0.5 * beta, beta, 2 * beta}, 2)
-	default:
-		return nil, cli.Usagef("unknown method %q", method)
-	}
 }

@@ -31,12 +31,6 @@
 // and valid arborescences on random graphs (differential_test.go), and
 // both are deterministic, which is what keeps parallel extraction
 // bit-identical to the serial path.
-//
-// Migration note: the free functions MaxArborescence and MaxForest remain
-// for one-shot solves (now running the Tarjan kernel); the old reusable
-// entry points Workspace.MaxArborescence and Workspace.MaxForest are
-// deprecated in favor of New + Solver, which fronts both kernels behind
-// one type.
 package arbor
 
 import (
@@ -52,14 +46,6 @@ type Edge struct {
 
 // ErrUnreachable reports that some node has no incoming path from the root.
 var ErrUnreachable = errors.New("arbor: node unreachable from root")
-
-// MaxArborescence is a one-shot convenience over New + Solver: it computes
-// the maximum-weight spanning arborescence with the default Tarjan kernel.
-// See Solver.MaxArborescence for the full contract. Callers solving
-// repeatedly should hold a Solver to reuse its workspace.
-func MaxArborescence(n int, edges []Edge, root int) (chosen []int, total float64, err error) {
-	return New(Options{}).MaxArborescence(n, edges, root)
-}
 
 // cedge is a working edge of one contraction level.
 type cedge struct {
@@ -84,16 +70,10 @@ type level struct {
 	childEdgeOff int32
 }
 
-// Workspace holds the reusable scratch of the contraction loop. The zero
-// value is not usable; create one with NewWorkspace. A Workspace is not
-// safe for concurrent use.
-//
-// Deprecated: hold a Solver from New instead — it owns workspace reuse
-// for either kernel. Workspace remains as the internal scratch of the
-// Contract kernel.
-type Workspace struct {
+// workspace is the Contract kernel's reusable scratch, owned by a Solver.
+// The zero value is ready to use; it is not safe for concurrent use.
+type workspace struct {
 	cedges [2][]cedge // ping-pong edge buffers (current / next level)
-	aug    []Edge     // MaxForest's virtual-root augmented edge list
 	origOf []int32    // filtered level-0 edge -> caller edge index
 
 	// Arenas retained across levels for the expansion pass.
@@ -115,16 +95,9 @@ type Workspace struct {
 	stats kernelStats // per-solve work counts, reset by the owning Solver
 }
 
-// NewWorkspace returns an empty workspace; buffers grow on first use and
-// are reused by every subsequent solve.
-func NewWorkspace() *Workspace { return &Workspace{} }
-
-// MaxArborescence runs the contraction kernel out of this workspace's
-// buffers.
-//
-// Deprecated: use New(Options{Algorithm: Contract}) and
-// Solver.MaxArborescence, or the default Tarjan kernel via New(Options{}).
-func (ws *Workspace) MaxArborescence(n int, edges []Edge, root int) (chosen []int, total float64, err error) {
+// maxArborescence runs the contraction kernel out of this workspace's
+// buffers; see Solver.MaxArborescence for the contract.
+func (ws *workspace) maxArborescence(n int, edges []Edge, root int) (chosen []int, total float64, err error) {
 	if root < 0 || root >= n {
 		return nil, 0, fmt.Errorf("arbor: root %d out of range [0,%d)", root, n)
 	}
@@ -170,7 +143,7 @@ func (ws *Workspace) MaxArborescence(n int, edges []Edge, root int) (chosen []in
 
 // solve runs the iterative contract-and-expand loop over the level-0 edges
 // already staged in ws.cedges[0], returning indices into that edge list.
-func (ws *Workspace) solve(n0, m0, root0 int) ([]int32, error) {
+func (ws *workspace) solve(n0, m0, root0 int) ([]int32, error) {
 	// Reserve the arenas from the level-0 dimensions. The totals can far
 	// exceed n0/m0 — each level that resolves only a small cycle shrinks
 	// n and m barely, so a deep contraction stacks many near-full levels —

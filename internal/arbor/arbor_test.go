@@ -74,7 +74,7 @@ func TestMaxArborescenceSimple(t *testing.T) {
 	edges := []Edge{
 		{0, 1, 5}, {0, 2, 3}, {1, 2, 4}, {2, 1, 4}, {1, 3, 2}, {2, 3, 6},
 	}
-	chosen, total, err := MaxArborescence(4, edges, 0)
+	chosen, total, err := New(Options{}).MaxArborescence(4, edges, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestMaxArborescenceCycleContraction(t *testing.T) {
 	edges := []Edge{
 		{0, 1, 1}, {1, 2, 10}, {2, 1, 10}, {0, 2, 1},
 	}
-	_, total, err := MaxArborescence(3, edges, 0)
+	_, total, err := New(Options{}).MaxArborescence(3, edges, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestMaxArborescenceIgnoresSelfLoopsAndRootEdges(t *testing.T) {
 		{1, 0, 100}, // into root
 		{0, 1, 2},
 	}
-	chosen, total, err := MaxArborescence(2, edges, 0)
+	chosen, total, err := New(Options{}).MaxArborescence(2, edges, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestMaxForest(t *testing.T) {
 		{0, 1, 2}, {1, 2, 3},
 		{3, 4, 4},
 	}
-	parents, total, err := MaxForest(5, edges, -1000)
+	parents, total, err := New(Options{}).MaxForest(5, edges, -1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func TestMaxForest(t *testing.T) {
 }
 
 func TestMaxForestEmpty(t *testing.T) {
-	parents, total, err := MaxForest(0, nil, -1)
+	parents, total, err := New(Options{}).MaxForest(0, nil, -1)
 	if err != nil || parents != nil || total != 0 {
 		t.Errorf("empty forest = %v %g %v", parents, total, err)
 	}
@@ -265,14 +265,14 @@ func TestMaxForestRootScoreTradeoff(t *testing.T) {
 	// A single negative-weight in-edge: with mild root penalty the node
 	// prefers to become a root; with harsh penalty it takes the edge.
 	edges := []Edge{{0, 1, -5}}
-	parents, _, err := MaxForest(2, edges, -1)
+	parents, _, err := New(Options{}).MaxForest(2, edges, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if parents[1] != -1 {
 		t.Errorf("mild penalty: parents[1] = %d, want root", parents[1])
 	}
-	parents, _, err = MaxForest(2, edges, -100)
+	parents, _, err = New(Options{}).MaxForest(2, edges, -100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +293,7 @@ func TestMaxForestEveryNodeCovered(t *testing.T) {
 				edges = append(edges, Edge{u, v, rng.Range(0, 1)})
 			}
 		}
-		parents, _, err := MaxForest(n, edges, -1e6)
+		parents, _, err := New(Options{}).MaxForest(n, edges, -1e6)
 		if err != nil {
 			return false
 		}

@@ -1,48 +1,5 @@
 package arbor
 
-// MaxForest is a one-shot convenience over New + Solver: it computes a
-// maximum-weight spanning forest with the default Tarjan kernel. See
-// Solver.MaxForest for the full contract. Callers solving repeatedly
-// should hold a Solver to reuse its workspace.
-func MaxForest(n int, edges []Edge, rootScore float64) (parents []int, total float64, err error) {
-	return New(Options{}).MaxForest(n, edges, rootScore)
-}
-
-// MaxForest runs the contraction kernel's forest solve out of this
-// workspace's buffers.
-//
-// Deprecated: use New(Options{Algorithm: Contract}) and Solver.MaxForest,
-// or the default Tarjan kernel via New(Options{}).
-func (ws *Workspace) MaxForest(n int, edges []Edge, rootScore float64) (parents []int, total float64, err error) {
-	if n == 0 {
-		return nil, 0, nil
-	}
-	if cap(ws.aug) < len(edges)+n {
-		ws.aug = make([]Edge, 0, len(edges)+n)
-	}
-	aug := append(ws.aug[:0], edges...)
-	virtual := n
-	for v := 0; v < n; v++ {
-		aug = append(aug, Edge{From: virtual, To: v, Weight: rootScore})
-	}
-	ws.aug = aug
-	chosen, _, err := ws.MaxArborescence(n+1, aug, virtual)
-	if err != nil {
-		return nil, 0, err
-	}
-	parents = make([]int, n)
-	for v := 0; v < n; v++ {
-		ei := chosen[v]
-		if ei >= len(edges) {
-			parents[v] = -1 // virtual edge: v is a root
-			continue
-		}
-		parents[v] = ei
-		total += edges[ei].Weight
-	}
-	return parents, total, nil
-}
-
 // GreedyInEdge implements Algorithm 2 (MWSG) in isolation: every node
 // independently picks its maximum-weight in-edge. The result may contain
 // cycles; the full extraction resolves them via contraction. Exposed for

@@ -59,15 +59,10 @@ type kernelStats struct {
 // repeated solves on one Solver allocate only the returned slices. A
 // Solver is not safe for concurrent use; parallel extraction holds one
 // per worker.
-//
-// Solver replaces the former free-function/Workspace split
-// (MaxArborescence vs Workspace.MaxArborescence): construct one with New
-// and call its methods. The free functions remain as conveniences for
-// one-shot solves and run the default Tarjan kernel.
 type Solver struct {
 	alg Algorithm
 	tj  *tarjan
-	ws  *Workspace
+	ws  *workspace
 	aug []Edge
 	cs  *obs.CounterSet
 }
@@ -81,7 +76,7 @@ func New(opts Options) *Solver {
 	case Tarjan:
 		s.tj = &tarjan{}
 	case Contract:
-		s.ws = NewWorkspace()
+		s.ws = &workspace{}
 	default:
 		panic(fmt.Sprintf("arbor: unknown algorithm %d", int(opts.Algorithm)))
 	}
@@ -132,7 +127,7 @@ func (s *Solver) fold(st *kernelStats) {
 func (s *Solver) MaxArborescence(n int, edges []Edge, root int) (chosen []int, total float64, err error) {
 	if s.alg == Contract {
 		s.ws.stats = kernelStats{}
-		chosen, total, err = s.ws.MaxArborescence(n, edges, root)
+		chosen, total, err = s.ws.maxArborescence(n, edges, root)
 		s.fold(&s.ws.stats)
 		return chosen, total, err
 	}

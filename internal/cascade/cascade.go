@@ -17,7 +17,6 @@ import (
 	"repro/internal/arbor"
 	"repro/internal/obs"
 	"repro/internal/par"
-	"repro/internal/profiling"
 	"repro/internal/sgraph"
 )
 
@@ -283,10 +282,12 @@ func Extract(snap *Snapshot, cfg Config) (*Forest, error) {
 }
 
 // ExtractContext is Extract with pipeline observability and cooperative
-// cancellation: when ctx carries an obs.Recorder it records the components
-// / arborescence / tree_build stage timings and the infected-node,
-// candidate-edge, component, tree and tree-node counters. With no recorder
-// attached the overhead is a handful of nil checks.
+// cancellation: each of the components / arborescence / tree_build stages
+// switches the goroutine's pprof stage label and, when ctx carries an
+// obs.Recorder, records its span timing and the typed cascade counters
+// (infected nodes, components, trees, scanned and time-pruned edges, tree
+// size and depth). With no recorder attached the counting is a handful of
+// nil checks.
 //
 // Components are solved concurrently across cfg.Parallelism workers (zero
 // = GOMAXPROCS), each holding its own scratch arenas; per-component trees
@@ -299,26 +300,18 @@ func ExtractContext(ctx context.Context, snap *Snapshot, cfg Config) (*Forest, e
 		return nil, err
 	}
 	rec := obs.RecorderFrom(ctx)
-	// Stage pprof labels track the stage spans so CPU samples attribute to
-	// the same stage vocabulary the span timings use.
-	profiling.SetStage(ctx, obs.StageComponents)
-	span := rec.Start(obs.StageComponents)
+	span := obs.Stage(ctx, obs.StageComponents)
 	infected := snap.Infected()
 	if len(infected) == 0 {
-		profiling.ClearStage(ctx)
+		span.End()
 		return nil, ErrNoInfected
 	}
 	comps := maskComponents(snap.G, infected, cfg.PositiveOnly)
 	span.End()
-	profiling.ClearStage(ctx)
-	rec.Add(obs.CounterInfectedNodes, int64(len(infected)))
-	rec.Add(obs.CounterComponents, int64(len(comps)))
-	if rec != nil {
-		var cs obs.CounterSet
-		cs.Cascade.InfectedNodes = int64(len(infected))
-		cs.Cascade.Components = int64(len(comps))
-		rec.MergeCounterSet(&cs)
-	}
+	rec.MergeCounterSet(&obs.CounterSet{Cascade: obs.CascadeCounters{
+		InfectedNodes: int64(len(infected)),
+		Components:    int64(len(comps)),
+	}})
 
 	workers := par.Workers(cfg.Parallelism)
 	treesByComp := make([][]*Tree, len(comps))
@@ -353,12 +346,7 @@ func ExtractContext(ctx context.Context, snap *Snapshot, cfg Config) (*Forest, e
 	for _, trees := range treesByComp {
 		forest.Trees = append(forest.Trees, trees...)
 	}
-	rec.Add(obs.CounterTrees, int64(len(forest.Trees)))
-	if rec != nil {
-		var cs obs.CounterSet
-		cs.Cascade.Trees = int64(len(forest.Trees))
-		rec.MergeCounterSet(&cs)
-	}
+	rec.MergeCounterSet(&obs.CounterSet{Cascade: obs.CascadeCounters{Trees: int64(len(forest.Trees))}})
 	return forest, nil
 }
 
@@ -436,18 +424,17 @@ func (s *extractScratch) release() {
 // comes from the worker-owned scratch; only the returned trees and their
 // arenas are freshly allocated.
 //
-// Bit-identity with the induced-subgraph reference path (reference.go):
-// members ascend, so dense component indices are order-isomorphic to the
-// local IDs sgraph.Induce would assign, and the CSR out-lists are sorted by
-// target, so the filtered scan emits candidate edges in exactly the order
-// the induced graph's Out iteration did — same arbor input, same forest.
+// Bit-identity with the induced-subgraph reference oracle
+// (reference_test.go): members ascend, so dense component indices are
+// order-isomorphic to the local IDs sgraph.Induce would assign, and the
+// CSR out-lists are sorted by target, so the filtered scan emits candidate
+// edges in exactly the order the induced graph's Out iteration did — same
+// arbor input, same forest.
 func extractComponent(ctx context.Context, snap *Snapshot, comp []int32, compIdx int, cfg Config, s *extractScratch) ([]*Tree, error) {
-	// Stage labels switch with the stage spans: arborescence for the scan
-	// + solve, tree_build for BFS tree construction. Per-component (not
-	// per-tree) granularity keeps the label-set copies off the hot loop.
-	profiling.SetStage(ctx, obs.StageArborescence)
-	defer profiling.ClearStage(ctx)
-	span := s.acc.Start(obs.StageArborescence)
+	// Two stages: arborescence for the scan + solve, tree_build for BFS
+	// tree construction. Per-component (not per-tree) granularity keeps
+	// the stage-label switches off the hot loop.
+	span := s.acc.Stage(ctx, obs.StageArborescence)
 	// Dense re-indexing of the component's nodes on parent IDs.
 	pos := s.pos
 	for i, v := range comp {
@@ -494,13 +481,11 @@ func extractComponent(ctx context.Context, snap *Snapshot, comp []int32, compIdx
 	}
 	parents, _, err := s.slv.MaxForest(len(comp), edges, cfg.RootScore)
 	span.End()
-	s.acc.Add(obs.CounterCandidateEdges, int64(len(edges)))
 	if err != nil {
 		return nil, fmt.Errorf("cascade: component %d: %w", compIdx, err)
 	}
 
-	profiling.SetStage(ctx, obs.StageTreeBuild)
-	span = s.acc.Start(obs.StageTreeBuild)
+	span = s.acc.Stage(ctx, obs.StageTreeBuild)
 	// Children lists on component indices, then one BFS per root.
 	if cap(s.childIdx) < len(comp) {
 		s.childIdx = make([][]int32, len(comp))
@@ -588,7 +573,6 @@ func extractComponent(ctx context.Context, snap *Snapshot, comp []int32, compIdx
 		imputeStates(t)
 		rescore(t, cfg)
 		t.ScoreCfg = scoreCfg
-		s.acc.Add(obs.CounterTreeNodes, int64(t.Len()))
 		if cs != nil {
 			cs.Cascade.TreeSize.Observe(int64(t.Len()))
 			cs.Cascade.TreeDepth.Observe(int64(t.Depth()))

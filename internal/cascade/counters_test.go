@@ -2,6 +2,7 @@ package cascade
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"repro/internal/obs"
@@ -93,5 +94,24 @@ func TestExtractTimePrunedCounter(t *testing.T) {
 	cs := rec.CounterSetSnapshot()
 	if cs == nil || cs.Cascade.TimePruned == 0 {
 		t.Fatalf("TimePruned not counted: %+v", cs)
+	}
+}
+
+// TestNoInfectedRecordsComponentsSpan pins the early-return path: a
+// snapshot with no infected nodes still ran the components stage, so its
+// span must be recorded before ErrNoInfected comes back.
+func TestNoInfectedRecordsComponentsSpan(t *testing.T) {
+	b := sgraph.NewBuilder(2)
+	b.AddEdge(0, 1, sgraph.Positive, 0.9)
+	snap, err := NewSnapshot(b.MustBuild(), make([]sgraph.State, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := obs.NewRecorder()
+	if _, err := ExtractContext(obs.WithRecorder(context.Background(), rec), snap, Config{Alpha: 3}); !errors.Is(err, ErrNoInfected) {
+		t.Fatalf("err = %v, want ErrNoInfected", err)
+	}
+	if got := rec.Stages()[obs.StageComponents].Count; got != 1 {
+		t.Fatalf("components spans = %d, want 1; stages %v", got, rec.Stages())
 	}
 }

@@ -1,9 +1,12 @@
 package cascade
 
 import (
+	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
+	"repro/internal/arbor"
 	"repro/internal/diffusion"
 	"repro/internal/gen"
 	"repro/internal/sgraph"
@@ -187,4 +190,150 @@ func TestArenaTreesIsolated(t *testing.T) {
 		}
 	}
 	sameForest(t, "after appends", want, forest)
+}
+
+// The oracle below keeps the pre-flat-layout extraction pipeline — induced
+// subgraph via sgraph.Induce (map-based re-indexing), per-tree slice
+// allocation, closure-based edge iteration — as a differential oracle for
+// the bitset/frontier/arena hot path in extractComponent, compiled into
+// tests only. The two paths must agree bit for bit: same components in the
+// same order, same candidate edge order, same arbor input, same trees,
+// same totals.
+
+// referenceExtract is the old Extract: detect infected components on an
+// induced subgraph and solve each serially with fresh allocations.
+func referenceExtract(snap *Snapshot, cfg Config) (*Forest, error) {
+	cfg = cfg.withDefaults()
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	infected := snap.Infected()
+	if len(infected) == 0 {
+		return nil, ErrNoInfected
+	}
+	sub := sgraph.Induce(snap.G, infected)
+	if cfg.PositiveOnly {
+		sub = dropNegative(sub)
+	}
+	comps := sgraph.ConnectedComponents(sub.G)
+	forest := &Forest{Components: len(comps)}
+	for ci, comp := range comps {
+		trees, err := referenceExtractComponent(snap, sub, comp, ci, cfg)
+		if err != nil {
+			return nil, err
+		}
+		forest.Trees = append(forest.Trees, trees...)
+	}
+	return forest, nil
+}
+
+// dropNegative removes negative links from an induced subgraph, keeping
+// the node-identity mapping intact.
+func dropNegative(sub *sgraph.Subgraph) *sgraph.Subgraph {
+	b := sgraph.NewBuilder(sub.G.NumNodes())
+	sub.G.Edges(func(e sgraph.Edge) {
+		if e.Sign == sgraph.Positive {
+			b.AddEdge(e.From, e.To, e.Sign, e.Weight)
+		}
+	})
+	return sgraph.NewSubgraph(b.MustBuild(), sub.Orig)
+}
+
+// referenceExtractComponent is the old extractComponent: component members
+// are sub-local IDs, membership is a hash map, and every tree allocates its
+// nine attribute slices individually.
+func referenceExtractComponent(snap *Snapshot, sub *sgraph.Subgraph, comp []int, compIdx int, cfg Config) ([]*Tree, error) {
+	pos := make(map[int]int32, len(comp))
+	for i, v := range comp {
+		pos[v] = int32(i)
+	}
+	stateOf := func(ci int) sgraph.State { return snap.States[sub.Orig[comp[ci]]] }
+
+	var edges []arbor.Edge
+	var cands []cand
+	for i, v := range comp {
+		sub.G.Out(v, func(e sgraph.Edge) {
+			j, ok := pos[e.To]
+			if !ok {
+				return
+			}
+			if !snap.timeAdmissible(sub.Orig[comp[i]], sub.Orig[comp[j]]) {
+				return
+			}
+			score := cfg.Score(e.Sign, e.Weight, stateOf(i), stateOf(int(j)))
+			edges = append(edges, arbor.Edge{From: i, To: int(j), Weight: math.Log(score)})
+			cands = append(cands, cand{sign: e.Sign, weight: e.Weight})
+		})
+	}
+	slv := arbor.New(arbor.Options{})
+	parents, _, err := slv.MaxForest(len(comp), edges, cfg.RootScore)
+	if err != nil {
+		return nil, fmt.Errorf("cascade: component %d: %w", compIdx, err)
+	}
+
+	childIdx := make([][]int32, len(comp))
+	var roots []int
+	for i := range comp {
+		if parents[i] == -1 {
+			roots = append(roots, i)
+			continue
+		}
+		p := edges[parents[i]].From
+		childIdx[p] = append(childIdx[p], int32(i))
+	}
+	localOf := make([]int32, len(comp))
+	trees := make([]*Tree, 0, len(roots))
+	scoreCfg := cfg
+	scoreCfg.Parallelism = 0
+	for _, r := range roots {
+		order := []int32{int32(r)}
+		for head := 0; head < len(order); head++ {
+			ci := order[head]
+			localOf[ci] = int32(head)
+			order = append(order, childIdx[ci]...)
+		}
+		n := len(order)
+		t := &Tree{
+			Component: compIdx,
+			Orig:      make([]int, n),
+			Parent:    make([]int32, n),
+			Children:  make([][]int32, n),
+			Sign:      make([]sgraph.Sign, n),
+			Weight:    make([]float64, n),
+			Score:     make([]float64, n),
+			State:     make([]sgraph.State, n),
+			Observed:  make([]sgraph.State, n),
+			Dummy:     make([]bool, n),
+		}
+		for local, ci := range order {
+			var parentLocal int32 = -1
+			var sign sgraph.Sign
+			var weight, score float64 = 0, 1
+			if pe := parents[ci]; pe != -1 {
+				parentLocal = localOf[edges[pe].From]
+				sign = cands[pe].sign
+				weight = cands[pe].weight
+				score = cfg.Score(sign, weight, stateOf(int(edges[pe].From)), stateOf(int(ci)))
+			}
+			t.Orig[local] = sub.Orig[comp[ci]]
+			t.Parent[local] = parentLocal
+			t.Sign[local] = sign
+			t.Weight[local] = weight
+			t.Score[local] = score
+			t.State[local] = stateOf(int(ci))
+			t.Observed[local] = stateOf(int(ci))
+			if kids := childIdx[ci]; len(kids) > 0 {
+				locals := make([]int32, len(kids))
+				for x, ch := range kids {
+					locals[x] = localOf[ch]
+				}
+				t.Children[local] = locals
+			}
+		}
+		imputeStates(t)
+		rescore(t, cfg)
+		t.ScoreCfg = scoreCfg
+		trees = append(trees, t)
+	}
+	return trees, nil
 }

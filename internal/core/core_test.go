@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"sort"
 	"testing"
 
@@ -394,5 +395,33 @@ func TestRIDConfidenceRanking(t *testing.T) {
 	}
 	if got := dt.Ranked(); len(got) != len(dt.Initiators) {
 		t.Error("Ranked on unscored detection broken")
+	}
+}
+
+// TestNewDetector pins the name table ridserve and ridlab share: every
+// name builds its detector, zero values select rid with α = 3, β = 0.3,
+// and an unknown name wraps ErrUnknownDetector with the served message.
+func TestNewDetector(t *testing.T) {
+	for name, want := range map[string]string{
+		"":                 "RID(0.3)",
+		"rid":              "RID(0.3)",
+		"rid-tree":         "RID-Tree",
+		"rid-positive":     "RID-Positive",
+		"rumor-centrality": "RumorCentrality",
+		"jordan-center":    "JordanCenter",
+		"degree-max":       "DegreeMax",
+		"ensemble":         "RID-Ensemble(2/3)",
+	} {
+		d, err := NewDetector(name, 0, 0, 1)
+		if err != nil {
+			t.Fatalf("%q: %v", name, err)
+		}
+		if d.Name() != want {
+			t.Errorf("%q: built %s, want %s", name, d.Name(), want)
+		}
+	}
+	_, err := NewDetector("nope", 0, 0, 1)
+	if !errors.Is(err, ErrUnknownDetector) || err.Error() != `unknown detector "nope"` {
+		t.Fatalf("unknown name: err = %v", err)
 	}
 }

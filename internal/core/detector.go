@@ -11,6 +11,8 @@ package core
 
 import (
 	"context"
+	"errors"
+	"fmt"
 
 	"repro/internal/cascade"
 	"repro/internal/sgraph"
@@ -81,4 +83,50 @@ func DetectWithContext(ctx context.Context, d Detector, snap *cascade.Snapshot) 
 		return nil, err
 	}
 	return d.Detect(snap)
+}
+
+// ErrUnknownDetector is wrapped by NewDetector for a name outside its
+// table. Its text is the served message: the wrapped error reads
+// `unknown detector "name"`.
+var ErrUnknownDetector = errors.New("unknown detector")
+
+// detectorTable is the one name → constructor table behind ridserve's
+// detector field and ridlab's -method flag.
+var detectorTable = map[string]func(alpha, beta float64, parallelism int) (Detector, error){
+	"rid": func(alpha, beta float64, parallelism int) (Detector, error) {
+		return NewRID(RIDConfig{Alpha: alpha, Beta: beta, Parallelism: parallelism})
+	},
+	"rid-tree":         func(alpha, _ float64, _ int) (Detector, error) { return NewRIDTree(alpha) },
+	"rid-positive":     func(float64, float64, int) (Detector, error) { return RIDPositive{}, nil },
+	"rumor-centrality": func(float64, float64, int) (Detector, error) { return RumorCentrality{}, nil },
+	"jordan-center":    func(float64, float64, int) (Detector, error) { return JordanCenter{}, nil },
+	"degree-max":       func(float64, float64, int) (Detector, error) { return DegreeMax{}, nil },
+	"ensemble": func(alpha, beta float64, parallelism int) (Detector, error) {
+		return NewEnsembleConfig(RIDConfig{Alpha: alpha, Parallelism: parallelism},
+			[]float64{0.5 * beta, beta, 2 * beta}, 2)
+	},
+}
+
+// NewDetector builds a detector by name: "rid", "rid-tree",
+// "rid-positive", "rumor-centrality", "jordan-center", "degree-max" or
+// "ensemble" (RID voting 2-of-3 over β/2, β and 2β). Zero values select
+// the defaults — name "rid", α = 3, β = 0.3 — as an omitted request field
+// does. parallelism is forwarded to the detectors that fan out (RID and
+// the ensemble); results are identical at every setting. An unknown name
+// returns an error wrapping ErrUnknownDetector.
+func NewDetector(name string, alpha, beta float64, parallelism int) (Detector, error) {
+	if name == "" {
+		name = "rid"
+	}
+	if alpha == 0 {
+		alpha = 3
+	}
+	if beta == 0 {
+		beta = 0.3
+	}
+	build, ok := detectorTable[name]
+	if !ok {
+		return nil, fmt.Errorf("%w %q", ErrUnknownDetector, name)
+	}
+	return build(alpha, beta, parallelism)
 }

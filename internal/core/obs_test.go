@@ -49,26 +49,32 @@ func TestDetectStageCoverage(t *testing.T) {
 		t.Errorf("stage durations sum to %v > end-to-end %v; stages overlap", sum, elapsed)
 	}
 
-	counters := rec.Counters()
-	if counters[obs.CounterComponents] < 1 {
-		t.Errorf("components counter = %d, want >= 1", counters[obs.CounterComponents])
+	cs := rec.CounterSetSnapshot()
+	if cs == nil {
+		t.Fatal("detect recorded no counters")
 	}
-	if got, want := counters[obs.CounterTrees], int64(det.Trees); got != want {
+	if cs.Cascade.Components < 1 {
+		t.Errorf("components counter = %d, want >= 1", cs.Cascade.Components)
+	}
+	if got, want := cs.Cascade.Trees, int64(det.Trees); got != want {
 		t.Errorf("trees counter = %d, want %d (detection's tree count)", got, want)
 	}
-	if counters[obs.CounterInfectedNodes] < counters[obs.CounterComponents] {
-		t.Errorf("infected_nodes %d < components %d", counters[obs.CounterInfectedNodes], counters[obs.CounterComponents])
+	if cs.Cascade.InfectedNodes < cs.Cascade.Components {
+		t.Errorf("infected_nodes %d < components %d", cs.Cascade.InfectedNodes, cs.Cascade.Components)
 	}
-	if got := counters[obs.CounterTreeNodes]; got != counters[obs.CounterInfectedNodes] {
-		t.Errorf("tree_nodes = %d, want %d (forest spans the infected subgraph)",
-			got, counters[obs.CounterInfectedNodes])
+	// Tree nodes are the tree-size histogram's sum.
+	if got := cs.Cascade.TreeSize.Sum; got != cs.Cascade.InfectedNodes {
+		t.Errorf("tree nodes = %d, want %d (forest spans the infected subgraph)",
+			got, cs.Cascade.InfectedNodes)
 	}
-	if counters[obs.CounterDPCells] < counters[obs.CounterTreeNodes] {
-		t.Errorf("dp_cells %d < tree_nodes %d: every node costs at least one cell",
-			counters[obs.CounterDPCells], counters[obs.CounterTreeNodes])
+	if cs.ISOMIT.DPCells < cs.Cascade.TreeSize.Sum {
+		t.Errorf("dp_cells %d < tree nodes %d: every node costs at least one cell",
+			cs.ISOMIT.DPCells, cs.Cascade.TreeSize.Sum)
 	}
-	if counters[obs.CounterCandidateEdges] == 0 {
-		t.Error("candidate_edges counter not recorded")
+	// Candidate edges are the scanned links that survive time pruning.
+	if cs.Cascade.EdgesScanned-cs.Cascade.TimePruned <= 0 {
+		t.Errorf("no candidate edges counted: scanned %d, pruned %d",
+			cs.Cascade.EdgesScanned, cs.Cascade.TimePruned)
 	}
 }
 
@@ -89,8 +95,7 @@ func TestDetectStageCoverageBudgetDP(t *testing.T) {
 		t.Fatal(err)
 	}
 	stages := rec.Stages()
-	counters := rec.Counters()
-	if stages[obs.StageBinarize].Count == 0 && counters[obs.CounterBudgetFallbacks] == 0 {
+	if stages[obs.StageBinarize].Count == 0 && rec.CounterSetSnapshot().ISOMIT.BudgetFallbacks == 0 {
 		t.Error("budget-DP run recorded neither binarize spans nor fallbacks")
 	}
 	if stages[obs.StageTreeDP].Count == 0 {
@@ -100,7 +105,7 @@ func TestDetectStageCoverageBudgetDP(t *testing.T) {
 
 // TestDetectCounterSet asserts a recorded detect carries the typed
 // algorithm-depth counters across every pipeline layer, consistent with
-// the legacy named counters.
+// the detection they describe.
 func TestDetectCounterSet(t *testing.T) {
 	sim := simulate(t, 11, 400, 2400, 12)
 	rid := mustRID(t, 0.3)
@@ -114,14 +119,9 @@ func TestDetectCounterSet(t *testing.T) {
 	if cs == nil {
 		t.Fatal("detect recorded no CounterSet")
 	}
-	counters := rec.Counters()
-	if cs.Cascade.InfectedNodes != counters[obs.CounterInfectedNodes] ||
-		cs.Cascade.Components != counters[obs.CounterComponents] ||
-		cs.Cascade.Trees != counters[obs.CounterTrees] {
-		t.Fatalf("typed cascade counters %+v disagree with named %v", cs.Cascade, counters)
-	}
-	if cs.ISOMIT.DPCells != counters[obs.CounterDPCells] {
-		t.Fatalf("DPCells = %d, want %d", cs.ISOMIT.DPCells, counters[obs.CounterDPCells])
+	if cs.Cascade.Components != int64(det.Components) || cs.Cascade.Trees != int64(det.Trees) {
+		t.Fatalf("typed cascade counters %+v disagree with detection (%d components, %d trees)",
+			cs.Cascade, det.Components, det.Trees)
 	}
 	// The default objective solves every tree with the local rule.
 	if cs.ISOMIT.LocalSolves != int64(det.Trees) {
@@ -138,9 +138,9 @@ func TestDetectCounterSet(t *testing.T) {
 	if got := cs.Cascade.TreeSize.Count(); got != cs.Cascade.Trees {
 		t.Fatalf("TreeSize observations = %d, want %d", got, cs.Cascade.Trees)
 	}
-	if cs.Cascade.TreeSize.Sum != counters[obs.CounterTreeNodes] {
-		t.Fatalf("TreeSize.Sum = %d, want tree_nodes %d",
-			cs.Cascade.TreeSize.Sum, counters[obs.CounterTreeNodes])
+	if cs.Cascade.TreeSize.Sum != cs.Cascade.InfectedNodes {
+		t.Fatalf("TreeSize.Sum = %d, want infected nodes %d",
+			cs.Cascade.TreeSize.Sum, cs.Cascade.InfectedNodes)
 	}
 }
 
@@ -170,9 +170,6 @@ func TestDetectCounterSetBudgetDP(t *testing.T) {
 	if cs.ISOMIT.BudgetSolves > 0 && cs.ISOMIT.AutoRounds < cs.ISOMIT.BudgetSolves {
 		t.Fatalf("AutoRounds %d < BudgetSolves %d: every auto solve tries ≥ 1 k",
 			cs.ISOMIT.AutoRounds, cs.ISOMIT.BudgetSolves)
-	}
-	if got := rec.Counters()[obs.CounterBudgetFallbacks]; cs.ISOMIT.BudgetFallbacks != got {
-		t.Fatalf("typed fallbacks %d != named %d", cs.ISOMIT.BudgetFallbacks, got)
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"repro/internal/isomit"
 	"repro/internal/obs"
 	"repro/internal/par"
-	"repro/internal/profiling"
 	"repro/internal/sgraph"
 )
 
@@ -180,9 +179,9 @@ func (r *RID) DetectForestContext(ctx context.Context, forest *cascade.Forest) (
 	// One region-level stage label covers the whole per-tree solve fan-out
 	// (binarize included — it is a sliver of the DP): the par workers
 	// inherit it at spawn, and per-tree label switching would put a
-	// label-set copy on the hot loop.
-	profiling.SetStage(ctx, obs.StageTreeDP)
-	defer profiling.ClearStage(ctx)
+	// label-set copy on the hot loop. The per-tree Accum spans below time
+	// the region, so the label records no span of its own.
+	defer obs.LabelStage(ctx, obs.StageTreeDP).End()
 	err := par.ForEach(ctx, workers, len(forest.Trees), func(w, i int) error {
 		acc := accs[w]
 		if acc == nil {
@@ -228,7 +227,6 @@ func (r *RID) DetectForestContext(ctx context.Context, forest *cascade.Forest) (
 			}
 		}
 	}
-	rec.Add(obs.CounterDPCells, dpCells)
 	sortDetection(det)
 	if slog.Default().Enabled(ctx, slog.LevelDebug) {
 		slog.LogAttrs(ctx, slog.LevelDebug, "rid: forest solved",
@@ -279,7 +277,6 @@ func (r *RID) solveTree(tree *cascade.Tree, acc *obs.Accum) (*isomit.Result, *ca
 	}
 	if r.cfg.UseBudgetDP {
 		// Budget DP requested but the tree exceeds MaxBudgetTreeSize.
-		acc.Add(obs.CounterBudgetFallbacks, 1)
 		if cs := acc.CS(); cs != nil {
 			cs.ISOMIT.BudgetFallbacks++
 		}

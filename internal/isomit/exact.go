@@ -138,6 +138,8 @@ func ExactSmallContext(ctx context.Context, g *sgraph.Graph, states []sgraph.Sta
 	// Each scored (set, states) assignment is one cell of the exhaustive
 	// "DP" — the exponential blow-up becomes visible on the same counter
 	// the tree solvers report.
-	obs.Add(ctx, obs.CounterDPCells, int64(best.Evaluated))
+	obs.RecorderFrom(ctx).MergeCounterSet(&obs.CounterSet{
+		ISOMIT: obs.ISOMITCounters{DPCells: int64(best.Evaluated)},
+	})
 	return best, nil
 }

@@ -14,9 +14,9 @@ func TestAccumFlushMergesIntoRecorder(t *testing.T) {
 		time.Sleep(time.Millisecond)
 		span.End()
 	}
-	acc.Add("counter", 5)
-	if got := rec.Counters()["counter"]; got != 0 {
-		t.Fatalf("counter visible before Flush: %d", got)
+	acc.CS().ISOMIT.DPCells += 5
+	if got := rec.CounterSetSnapshot(); got != nil {
+		t.Fatalf("counters visible before Flush: %+v", got)
 	}
 	acc.Flush()
 	stats := rec.Stages()
@@ -26,8 +26,8 @@ func TestAccumFlushMergesIntoRecorder(t *testing.T) {
 	if stats["stage"].Total <= 0 || stats["stage"].Max <= 0 {
 		t.Errorf("stage totals not accumulated: %+v", stats["stage"])
 	}
-	if got := rec.Counters()["counter"]; got != 5 {
-		t.Errorf("counter = %d, want 5", got)
+	if got := rec.CounterSetSnapshot().ISOMIT.DPCells; got != 5 {
+		t.Errorf("dp cells = %d, want 5", got)
 	}
 	// Flush clears the batch: a second flush must not double-count.
 	acc.Flush()
@@ -41,7 +41,9 @@ func TestAccumNilRecorder(t *testing.T) {
 	acc := rec.NewAccum() // nil
 	span := acc.Start("stage")
 	span.End()
-	acc.Add("counter", 1)
+	if acc.CS() != nil {
+		t.Fatal("nil Accum must hand out a nil CounterSet")
+	}
 	acc.Flush() // all no-ops; must not panic
 }
 
@@ -54,14 +56,14 @@ func TestRecorderConcurrentCounters(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				rec.Add("shared", 1)
+				rec.MergeCounterSet(&CounterSet{Cascade: CascadeCounters{Trees: 1}})
 				rec.observe("stage", time.Microsecond)
 			}
 		}()
 	}
 	wg.Wait()
-	if got := rec.Counters()["shared"]; got != workers*perWorker {
-		t.Errorf("shared counter = %d, want %d", got, workers*perWorker)
+	if got := rec.CounterSetSnapshot().Cascade.Trees; got != workers*perWorker {
+		t.Errorf("trees = %d, want %d", got, workers*perWorker)
 	}
 	if got := rec.Stages()["stage"].Count; got != workers*perWorker {
 		t.Errorf("stage count = %d, want %d", got, workers*perWorker)

@@ -1,9 +1,9 @@
 package obs
 
-// This file defines the typed algorithm-depth counter layer: where the
-// Recorder's named counters answer "how much work did the pipeline do",
-// the CounterSet answers "what did the algorithms underneath actually do"
-// — which arborescence kernel ran and how many heap operations and cycle
+// This file defines the pipeline's one counter vocabulary, the typed
+// CounterSet. It answers both "how much work did the pipeline do" and
+// "what did the algorithms underneath actually do" — how many infected
+// nodes, components and trees there were, which arborescence kernel ran and how many heap operations and cycle
 // contractions it resolved, how the cascade forest was shaped, which
 // ISOMIT DP modes solved the trees, what the diffusion simulation did
 // round by round. Hot kernels accumulate into a plain (lock-free,
@@ -113,17 +113,20 @@ type ArborCounters struct {
 
 // CascadeCounters instruments forest extraction (internal/cascade).
 type CascadeCounters struct {
-	// InfectedNodes / Components / Trees mirror the pipeline's named
-	// counters so the typed set is self-contained.
+	// InfectedNodes / Components / Trees size the infected subgraph
+	// (Definition 6) and the extracted forest.
 	InfectedNodes int64 `json:"infected_nodes,omitempty"`
 	Components    int64 `json:"components,omitempty"`
 	Trees         int64 `json:"trees,omitempty"`
 	// EdgesScanned counts every out-edge examined while building candidate
 	// activation links (including ones rejected by timing); TimePruned the
-	// candidates dropped because known timestamps run backward.
+	// candidates dropped because known timestamps run backward. The
+	// candidate links scored for the forest solve number EdgesScanned −
+	// TimePruned.
 	EdgesScanned int64 `json:"edges_scanned,omitempty"`
 	TimePruned   int64 `json:"time_pruned,omitempty"`
-	// TreeSize / TreeDepth are histograms over the extracted trees.
+	// TreeSize / TreeDepth are histograms over the extracted trees;
+	// TreeSize.Sum is the total node count across trees.
 	TreeSize  WorkHist `json:"tree_size"`
 	TreeDepth WorkHist `json:"tree_depth"`
 }

@@ -8,7 +8,7 @@ import (
 
 // FlightRecord is one completed detection (or simulation) as retained by
 // the FlightRecorder: identity, outcome, the full per-stage span aggregate
-// and both counter layers. Records are immutable once published.
+// and the typed algorithm counters. Records are immutable once published.
 type FlightRecord struct {
 	// Seq is the recorder-assigned monotonic sequence number (1-based);
 	// newest records have the highest Seq.
@@ -35,11 +35,10 @@ type FlightRecord struct {
 	// while it ran. Zero when profiling is off or no window covered it.
 	ProfileWindow uint64 `json:"profile_window,omitempty"`
 	// Stages is the span tree (disjoint stage aggregates) of the request;
-	// Counters the pipeline's named counters; Algo the typed
-	// algorithm-depth counters (nil when nothing was counted).
-	Stages   map[string]StageView `json:"stages,omitempty"`
-	Counters map[string]int64     `json:"counters,omitempty"`
-	Algo     *CounterSet          `json:"algo_counters,omitempty"`
+	// Algo the typed algorithm-depth counters (nil when nothing was
+	// counted).
+	Stages map[string]StageView `json:"stages,omitempty"`
+	Algo   *CounterSet          `json:"algo_counters,omitempty"`
 }
 
 // FlightRecorder retains the last N completed requests in a ring buffer,

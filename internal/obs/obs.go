@@ -1,30 +1,35 @@
 // Package obs is the pipeline observability layer: per-stage wall-time
-// spans and named counters carried through context.Context, plus request
-// trace IDs and a Prometheus text-format writer. It is stdlib-only and
-// designed around one invariant: when no Recorder is attached to the
-// context, every call degenerates to a nil check — the instrumented hot
-// paths (forest extraction, tree DP) pay nothing measurable.
+// spans and typed algorithm counters carried through context.Context, plus
+// request trace IDs and a Prometheus text-format writer. It is
+// stdlib-only and designed around one invariant: when no Recorder is
+// attached to the context, timing and counting degenerate to a nil check —
+// the instrumented hot paths (forest extraction, tree DP) pay only for the
+// pprof stage label each stage boundary switches.
 //
 // Usage: a serving or CLI layer creates a Recorder per pipeline run,
-// attaches it with WithRecorder, and reads StageMillis/Counters when the
-// run finishes. Library code brackets its stages with
+// attaches it with WithRecorder, and reads StageMillis and
+// CounterSetSnapshot when the run finishes. Library code brackets each
+// stage with one call, which times the span and tags the goroutine's CPU
+// samples with the same stage name:
 //
-//	span := obs.RecorderFrom(ctx).Start(obs.StageTreeDP)
+//	span := obs.Stage(ctx, obs.StageComponents)
 //	... work ...
-//	span.End()
+//	span.End() // records the span and restores ctx's pprof labels
 //
-// and accumulates counters via Recorder.Add. Stage names are chosen so the
-// recorded set is a disjoint partition of the pipeline: stage durations can
-// be summed and compared against the end-to-end latency without double
-// counting.
+// Parallel stages open the same span on a worker's Accum
+// (acc.Stage(ctx, name)), and count algorithm work into the Accum's
+// CounterSet (acc.CS()); cold paths merge a CounterSet into the recorder
+// directly. Stage names are chosen so the recorded set is a disjoint
+// partition of the pipeline: stage durations can be summed and compared
+// against the end-to-end latency without double counting.
 package obs
 
 import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
+	"runtime/pprof"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -56,28 +61,6 @@ const (
 	StageTreeDP = "tree_dp"
 )
 
-// Counter names accumulated by the RID pipeline.
-const (
-	// CounterInfectedNodes is the number of nodes in the infected subgraph.
-	CounterInfectedNodes = "infected_nodes"
-	// CounterCandidateEdges is the number of candidate activation links
-	// scored for forest extraction.
-	CounterCandidateEdges = "candidate_edges"
-	// CounterComponents is the number of infected connected components.
-	CounterComponents = "components"
-	// CounterTrees is the number of extracted cascade trees.
-	CounterTrees = "trees"
-	// CounterTreeNodes is the total node count across extracted trees
-	// (CounterTreeNodes / CounterTrees = mean tree size).
-	CounterTreeNodes = "tree_nodes"
-	// CounterDPCells is the number of DP cells (memo entries, threshold
-	// checks or ancestor slots) evaluated by the per-tree solvers.
-	CounterDPCells = "dp_cells"
-	// CounterBudgetFallbacks counts trees that exceeded MaxBudgetTreeSize
-	// and fell back from the budget DP to the penalized DP.
-	CounterBudgetFallbacks = "budget_fallbacks"
-)
-
 // StageStat aggregates the observations of one stage within a Recorder.
 type StageStat struct {
 	// Count is the number of spans recorded under the stage name.
@@ -87,7 +70,7 @@ type StageStat struct {
 	Max   time.Duration
 }
 
-// Recorder accumulates per-stage wall times and named counters for one
+// Recorder accumulates per-stage wall times and typed counters for one
 // pipeline run (typically one detect request). All methods are safe for
 // concurrent use and safe on a nil receiver, where they no-op — callers
 // thread the RecorderFrom(ctx) result unconditionally.
@@ -102,12 +85,6 @@ type Recorder struct {
 	mu     sync.Mutex
 	stages map[string]*StageStat
 
-	// Counters are per-name atomics so concurrent workers (extraction and
-	// DP fan-out, HTTP handlers) add without serializing on mu; cmu only
-	// guards insertion of a new name.
-	cmu      sync.RWMutex
-	counters map[string]*atomic.Int64
-
 	// cs aggregates the typed algorithm-depth counters merged in by worker
 	// Accums (or directly via MergeCounterSet); csMu serializes the merges.
 	csMu sync.Mutex
@@ -116,22 +93,37 @@ type Recorder struct {
 
 // NewRecorder returns an empty recorder.
 func NewRecorder() *Recorder {
-	return &Recorder{
-		stages:   make(map[string]*StageStat),
-		counters: make(map[string]*atomic.Int64),
-	}
+	return &Recorder{stages: make(map[string]*StageStat)}
 }
 
-// Span is one in-flight stage timing. The zero Span (from a nil Recorder)
-// is valid and End is a no-op on it.
+// stageLabel is the pprof label key a stage span switches; it matches
+// profiling.LabelStage, which the CPU-profile aggregation groups by.
+const stageLabel = "stage"
+
+// setStageLabel tags the calling goroutine's CPU samples with the stage,
+// keeping the labels ctx already carries (route, model). Goroutines spawned
+// while it is set inherit it, which is how par fan-out workers are labeled
+// without per-item cost. It costs one small label-set copy, so stage
+// boundaries sit at per-stage or per-component granularity, never inside
+// a per-tree loop.
+func setStageLabel(ctx context.Context, stage string) {
+	pprof.SetGoroutineLabels(pprof.WithLabels(ctx, pprof.Labels(stageLabel, stage)))
+}
+
+// Span is one in-flight stage: a wall-time measurement on a Recorder or
+// a worker's Accum and, when opened by Stage or LabelStage, the
+// goroutine's pprof stage label. The zero Span is valid and End is a no-op
+// on it.
 type Span struct {
 	rec   *Recorder
+	acc   *Accum
 	stage string
 	start time.Time
+	ctx   context.Context // labels End restores; nil when none were switched
 }
 
-// Start opens a span under the stage name. On a nil recorder it returns
-// the zero Span without reading the clock.
+// Start opens a timing-only span under the stage name. On a nil recorder
+// it returns the zero Span without reading the clock.
 func (r *Recorder) Start(stage string) Span {
 	if r == nil {
 		return Span{}
@@ -139,12 +131,44 @@ func (r *Recorder) Start(stage string) Span {
 	return Span{rec: r, stage: stage, start: time.Now()}
 }
 
-// End records the span's elapsed wall time onto its recorder.
+// Stage is the one instrumentation call per pipeline stage: it opens a
+// span under the stage name on ctx's recorder (timing nothing when none is
+// attached) and switches the calling goroutine's pprof stage label to the
+// same name. End records the span and restores the labels ctx carries, so
+// CPU samples and span timings share one stage vocabulary.
+func Stage(ctx context.Context, stage string) Span {
+	return RecorderFrom(ctx).Start(stage).labeled(ctx, stage)
+}
+
+// LabelStage switches the goroutine's pprof stage label like Stage but
+// records no span — for a fan-out region whose time is already recorded
+// by finer per-item Accum spans, where a region span would count it
+// twice. End restores the labels ctx carries.
+func LabelStage(ctx context.Context, stage string) Span {
+	return Span{}.labeled(ctx, stage)
+}
+
+// labeled switches the goroutine's stage label and arms End to restore
+// ctx's labels.
+func (s Span) labeled(ctx context.Context, stage string) Span {
+	setStageLabel(ctx, stage)
+	s.ctx = ctx
+	return s
+}
+
+// End records the span's elapsed wall time onto its Recorder or Accum
+// (an Accum batches it without locking) and restores the pprof labels of
+// the context the span was opened with.
 func (s Span) End() {
-	if s.rec == nil {
-		return
+	switch {
+	case s.rec != nil:
+		s.rec.observe(s.stage, time.Since(s.start))
+	case s.acc != nil:
+		s.acc.observe(s.stage, time.Since(s.start))
 	}
-	s.rec.observe(s.stage, time.Since(s.start))
+	if s.ctx != nil {
+		pprof.SetGoroutineLabels(s.ctx)
+	}
 }
 
 func (r *Recorder) observe(stage string, d time.Duration) {
@@ -166,25 +190,6 @@ func (r *Recorder) merge(stage string, add StageStat) {
 		st.Max = add.Max
 	}
 	r.mu.Unlock()
-}
-
-// Add accumulates n onto the named counter. No-op on a nil recorder.
-func (r *Recorder) Add(name string, n int64) {
-	if r == nil {
-		return
-	}
-	r.cmu.RLock()
-	c := r.counters[name]
-	r.cmu.RUnlock()
-	if c == nil {
-		r.cmu.Lock()
-		if c = r.counters[name]; c == nil {
-			c = new(atomic.Int64)
-			r.counters[name] = c
-		}
-		r.cmu.Unlock()
-	}
-	c.Add(n)
 }
 
 // Stages returns a copy of the per-stage aggregates.
@@ -216,8 +221,8 @@ func (r *Recorder) StageMillis() map[string]float64 {
 	return out
 }
 
-// MergeFrom folds another recorder's stage aggregates, named counters and
-// typed counters into r — how a batch request rolls its per-item recorders
+// MergeFrom folds another recorder's stage aggregates and typed counters
+// into r — how a batch request rolls its per-item recorders
 // up into one batch-level view whose stage totals and algo counters sum
 // over items. No-op when either recorder is nil. The source recorder is
 // read under its own locks, so merging while other goroutines still write
@@ -228,9 +233,6 @@ func (r *Recorder) MergeFrom(other *Recorder) {
 	}
 	for name, st := range other.Stages() {
 		r.merge(name, st)
-	}
-	for name, n := range other.Counters() {
-		r.Add(name, n)
 	}
 	other.csMu.Lock()
 	cs := other.cs
@@ -293,30 +295,15 @@ func (r *Recorder) StageViews() map[string]StageView {
 	return out
 }
 
-// Counters returns a copy of the counter map.
-func (r *Recorder) Counters() map[string]int64 {
-	if r == nil {
-		return nil
-	}
-	r.cmu.RLock()
-	defer r.cmu.RUnlock()
-	out := make(map[string]int64, len(r.counters))
-	for name, c := range r.counters {
-		out[name] = c.Load()
-	}
-	return out
-}
-
 // Accum batches span and counter observations locally for one worker of a
 // parallel stage, so the fan-out touches the shared recorder once per
 // Flush instead of once per component or tree. Not safe for concurrent
 // use — each worker owns its own Accum — and nil-safe throughout, so the
 // no-recorder fast path stays a pointer check.
 type Accum struct {
-	rec      *Recorder
-	stages   map[string]*StageStat
-	counters map[string]int64
-	cs       CounterSet
+	rec    *Recorder
+	stages map[string]*StageStat
+	cs     CounterSet
 }
 
 // NewAccum returns a local accumulator bound to the recorder. On a nil
@@ -325,54 +312,37 @@ func (r *Recorder) NewAccum() *Accum {
 	if r == nil {
 		return nil
 	}
-	return &Accum{
-		rec:      r,
-		stages:   make(map[string]*StageStat),
-		counters: make(map[string]int64),
-	}
+	return &Accum{rec: r, stages: make(map[string]*StageStat)}
 }
 
-// AccumSpan is one in-flight stage timing on an Accum. The zero AccumSpan
-// (from a nil Accum) is valid and End is a no-op on it.
-type AccumSpan struct {
-	acc   *Accum
-	stage string
-	start time.Time
-}
-
-// Start opens a local span under the stage name. On a nil Accum it returns
-// the zero AccumSpan without reading the clock.
-func (a *Accum) Start(stage string) AccumSpan {
+// Start opens a timing-only local span under the stage name — for per-item
+// spans inside a fan-out region labeled once by LabelStage. On a nil
+// Accum it returns the zero Span without reading the clock.
+func (a *Accum) Start(stage string) Span {
 	if a == nil {
-		return AccumSpan{}
+		return Span{}
 	}
-	return AccumSpan{acc: a, stage: stage, start: time.Now()}
+	return Span{acc: a, stage: stage, start: time.Now()}
 }
 
-// End folds the span's elapsed wall time into its Accum (no locking).
-func (s AccumSpan) End() {
-	if s.acc == nil {
-		return
-	}
-	d := time.Since(s.start)
-	st := s.acc.stages[s.stage]
+// Stage is obs.Stage for one worker of a parallel stage: the span batches
+// into the Accum, and the goroutine's pprof stage label is switched even
+// on a nil Accum, so CPU profiles stay labeled with no recorder attached.
+func (a *Accum) Stage(ctx context.Context, stage string) Span {
+	return a.Start(stage).labeled(ctx, stage)
+}
+
+func (a *Accum) observe(stage string, d time.Duration) {
+	st := a.stages[stage]
 	if st == nil {
 		st = &StageStat{}
-		s.acc.stages[s.stage] = st
+		a.stages[stage] = st
 	}
 	st.Count++
 	st.Total += d
 	if d > st.Max {
 		st.Max = d
 	}
-}
-
-// Add accumulates n onto the local counter. No-op on a nil Accum.
-func (a *Accum) Add(name string, n int64) {
-	if a == nil {
-		return
-	}
-	a.counters[name] += n
 }
 
 // CS returns the Accum's typed counter batch for hot kernels to write
@@ -387,7 +357,7 @@ func (a *Accum) CS() *CounterSet {
 
 // Flush merges everything batched so far into the recorder and resets the
 // Accum for reuse. Safe to call concurrently with other workers' flushes
-// (the recorder serializes), but not with this Accum's own Start/Add.
+// (the recorder serializes), but not with this Accum's own spans.
 func (a *Accum) Flush() {
 	if a == nil {
 		return
@@ -395,10 +365,6 @@ func (a *Accum) Flush() {
 	for name, st := range a.stages {
 		a.rec.merge(name, *st)
 		delete(a.stages, name)
-	}
-	for name, n := range a.counters {
-		a.rec.Add(name, n)
-		delete(a.counters, name)
 	}
 	if !a.cs.Zero() {
 		a.rec.MergeCounterSet(&a.cs)
@@ -419,18 +385,6 @@ func WithRecorder(ctx context.Context, r *Recorder) context.Context {
 func RecorderFrom(ctx context.Context) *Recorder {
 	r, _ := ctx.Value(recorderKey{}).(*Recorder)
 	return r
-}
-
-// Add accumulates n onto the named counter of the context's recorder, if
-// any. Convenience for cold paths; hot loops hold the recorder directly.
-func Add(ctx context.Context, name string, n int64) {
-	RecorderFrom(ctx).Add(name, n)
-}
-
-// Start opens a span on the context's recorder, if any. Convenience for
-// cold paths; hot loops hold the recorder directly.
-func Start(ctx context.Context, stage string) Span {
-	return RecorderFrom(ctx).Start(stage)
 }
 
 type traceIDKey struct{}

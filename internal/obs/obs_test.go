@@ -14,8 +14,8 @@ func TestRecorderStagesAndCounters(t *testing.T) {
 	time.Sleep(time.Millisecond)
 	sp.End()
 	r.observe(StageTreeDP, 2*time.Millisecond)
-	r.Add(CounterTrees, 3)
-	r.Add(CounterTrees, 2)
+	r.MergeCounterSet(&CounterSet{Cascade: CascadeCounters{Trees: 3}})
+	r.MergeCounterSet(&CounterSet{Cascade: CascadeCounters{Trees: 2}})
 
 	st := r.Stages()[StageTreeDP]
 	if st.Count != 2 {
@@ -27,8 +27,8 @@ func TestRecorderStagesAndCounters(t *testing.T) {
 	if ms := r.StageMillis()[StageTreeDP]; ms <= 0 {
 		t.Fatalf("StageMillis = %g, want > 0", ms)
 	}
-	if got := r.Counters()[CounterTrees]; got != 5 {
-		t.Fatalf("counter = %d, want 5", got)
+	if got := r.CounterSetSnapshot().Cascade.Trees; got != 5 {
+		t.Fatalf("trees = %d, want 5", got)
 	}
 }
 
@@ -36,9 +36,9 @@ func TestNilRecorderIsNoop(t *testing.T) {
 	var r *Recorder
 	sp := r.Start(StageTreeDP) // must not panic
 	sp.End()
-	r.Add(CounterTrees, 1)
-	if r.Stages() != nil || r.Counters() != nil || r.StageMillis() != nil {
-		t.Fatal("nil recorder must return nil maps")
+	r.MergeCounterSet(&CounterSet{Cascade: CascadeCounters{Trees: 1}})
+	if r.Stages() != nil || r.CounterSetSnapshot() != nil || r.StageMillis() != nil {
+		t.Fatal("nil recorder must return nil views")
 	}
 }
 
@@ -47,23 +47,18 @@ func TestContextPlumbing(t *testing.T) {
 	if RecorderFrom(ctx) != nil {
 		t.Fatal("empty context must carry no recorder")
 	}
-	sp := Start(ctx, StageTreeDP) // no recorder: still safe
+	sp := Stage(ctx, StageTreeDP) // no recorder: still safe
 	sp.End()
-	Add(ctx, CounterTrees, 1)
 
 	rec := NewRecorder()
 	ctx = WithRecorder(ctx, rec)
 	if RecorderFrom(ctx) != rec {
 		t.Fatal("recorder not recovered from context")
 	}
-	sp = Start(ctx, StageComponents)
+	sp = Stage(ctx, StageComponents)
 	sp.End()
-	Add(ctx, CounterComponents, 7)
 	if rec.Stages()[StageComponents].Count != 1 {
 		t.Fatal("span via context not recorded")
-	}
-	if rec.Counters()[CounterComponents] != 7 {
-		t.Fatal("counter via context not recorded")
 	}
 }
 
@@ -90,7 +85,7 @@ func TestTraceID(t *testing.T) {
 
 // TestConcurrentRecording exercises one Recorder from many goroutines —
 // the serving layer records stages from pooled workers while /metrics
-// snapshots counters. Run under -race (the CI race matrix includes obs).
+// snapshots stages. Run under -race (the CI race matrix includes obs).
 func TestConcurrentRecording(t *testing.T) {
 	rec := NewRecorder()
 	ctx := WithRecorder(context.Background(), rec)
@@ -104,12 +99,12 @@ func TestConcurrentRecording(t *testing.T) {
 			r := RecorderFrom(ctx)
 			for i := 0; i < iters; i++ {
 				sp := r.Start(StageTreeDP)
-				r.Add(CounterDPCells, 2)
+				r.MergeCounterSet(&CounterSet{ISOMIT: ISOMITCounters{DPCells: 2}})
 				sp.End()
 				if i%10 == 0 {
 					// Concurrent readers must not race the writers.
 					_ = r.Stages()
-					_ = r.Counters()
+					_ = r.CounterSetSnapshot()
 					_ = r.StageMillis()
 				}
 			}
@@ -119,8 +114,8 @@ func TestConcurrentRecording(t *testing.T) {
 	if got := rec.Stages()[StageTreeDP].Count; got != goroutines*iters {
 		t.Fatalf("span count = %d, want %d", got, goroutines*iters)
 	}
-	if got := rec.Counters()[CounterDPCells]; got != 2*goroutines*iters {
-		t.Fatalf("counter = %d, want %d", got, 2*goroutines*iters)
+	if got := rec.CounterSetSnapshot().ISOMIT.DPCells; got != 2*goroutines*iters {
+		t.Fatalf("dp cells = %d, want %d", got, 2*goroutines*iters)
 	}
 }
 
@@ -130,7 +125,6 @@ func BenchmarkSpanNoRecorder(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sp := rec.Start(StageTreeDP)
-		rec.Add(CounterDPCells, 1)
 		sp.End()
 	}
 }
@@ -140,7 +134,6 @@ func BenchmarkSpanWithRecorder(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sp := rec.Start(StageTreeDP)
-		rec.Add(CounterDPCells, 1)
 		sp.End()
 	}
 }

@@ -36,7 +36,7 @@ type RequestTelemetry struct {
 	// Status ≥ 400 or a non-empty Error marks the span errored.
 	HTTPStatus int
 	Error      string
-	// Rec supplies stage aggregates (child spans) and both counter layers
+	// Rec supplies stage aggregates (child spans) and the typed counters
 	// (span attributes). May be nil for routes without a pipeline.
 	Rec *Recorder
 	// Links attach other spans of this or other traces to the root span.
@@ -173,13 +173,8 @@ func buildSpans(rt *RequestTelemetry) []otlpSpan {
 		root.Links = append(root.Links, otlpLink{TraceID: l.TraceID, SpanID: l.SpanID})
 	}
 
-	// Both counter layers become root-span attributes in a fixed order:
-	// the named pipeline counters sorted, then the typed algorithm-depth
-	// counters in CounterSet.Each's canonical order.
-	counters := rt.Rec.Counters()
-	for _, name := range SortedKeys(counters) {
-		root.Attributes = append(root.Attributes, intAttr("counter."+name, counters[name]))
-	}
+	// The typed algorithm-depth counters become root-span attributes in
+	// CounterSet.Each's canonical order.
 	rt.Rec.CounterSetSnapshot().Each(func(name string, v int64) {
 		root.Attributes = append(root.Attributes, intAttr("algo."+name, v))
 	})

@@ -13,19 +13,17 @@ var updateGolden = flag.Bool("update", false, "rewrite the OTLP golden fixture")
 
 // goldenTelemetry builds a fully deterministic request telemetry: fixed
 // trace identity, fixed timestamps, stage aggregates merged directly
-// (bypassing the wall clock), counters and typed algorithm counters, and a
-// span link — every feature the OTLP encoder maps.
+// (bypassing the wall clock), typed algorithm counters and a span link — every feature the OTLP encoder maps.
 func goldenTelemetry() *RequestTelemetry {
 	rec := NewRecorder()
 	rec.merge(StageGraphBuild, StageStat{Count: 1, Total: 40 * time.Millisecond, Max: 40 * time.Millisecond})
 	rec.merge(StageComponents, StageStat{Count: 3, Total: 12 * time.Millisecond, Max: 7 * time.Millisecond})
 	rec.merge(StageTreeDP, StageStat{Count: 5, Total: 90 * time.Millisecond, Max: 31 * time.Millisecond})
 	rec.merge("custom_stage", StageStat{Count: 1, Total: 2 * time.Millisecond, Max: 2 * time.Millisecond})
-	rec.Add(CounterInfectedNodes, 128)
-	rec.Add(CounterTrees, 5)
 	rec.MergeCounterSet(&CounterSet{
-		Arbor:  ArborCounters{TarjanSolves: 3, HeapMelds: 421},
-		ISOMIT: ISOMITCounters{PenalizedSolves: 5, DPCells: 9000},
+		Arbor:   ArborCounters{TarjanSolves: 3, HeapMelds: 421},
+		Cascade: CascadeCounters{InfectedNodes: 128, Trees: 5},
+		ISOMIT:  ISOMITCounters{PenalizedSolves: 5, DPCells: 9000},
 	})
 	start := time.Unix(1700000000, 0).UTC()
 	return &RequestTelemetry{
@@ -174,8 +172,8 @@ func TestMarshalOTLPStructure(t *testing.T) {
 		"http.route":                   "/v1/detect",
 		"http.status_code":             "200",
 		"request.detail":               "detector=rid",
-		"counter.infected_nodes":       "128",
-		"counter.trees":                "5",
+		"algo.cascade_infected_nodes":  "128",
+		"algo.cascade_trees":           "5",
 		"algo.arbor_tarjan_solves":     "3",
 		"algo.arbor_heap_melds":        "421",
 		"algo.isomit_dp_cells":         "9000",

@@ -7,10 +7,10 @@
 // metrics → traces → profiles: a burn-rate page links to a trace, and the
 // trace's route/stage links to where the CPU actually went.
 //
-// The package is stdlib-only and a leaf dependency: the pipeline packages
-// (cascade, core) call the label helpers on their hot-path boundaries, the
-// server wraps requests in Do, and everything else — windows, decoding,
-// aggregation, views — lives behind the Profiler.
+// The package is stdlib-only and a leaf dependency: the server wraps
+// requests in Do, the pipeline's stage label is switched by the same
+// obs.Stage call that times each stage, and everything else — windows,
+// decoding, aggregation, views — lives behind the Profiler.
 package profiling
 
 import (
@@ -29,7 +29,8 @@ const (
 	// "rid", ...).
 	LabelModel = "model"
 	// LabelStage is the pipeline stage (graph_build, components,
-	// arborescence, tree_build, tree_dp, diffusion, ...).
+	// arborescence, tree_build, tree_dp, diffusion, ...), set by
+	// obs.Stage under this same key.
 	LabelStage = "stage"
 	// LabelBatch marks work done on behalf of a batch request.
 	LabelBatch = "batch"
@@ -41,29 +42,4 @@ const (
 // here so callers share one vocabulary of label keys.
 func Do(ctx context.Context, fn func(context.Context), kv ...string) {
 	pprof.Do(ctx, pprof.Labels(kv...), fn)
-}
-
-// SetStage tags the calling goroutine's CPU samples with the stage label
-// until ClearStage (or the next SetStage) runs, preserving whatever
-// route/model labels ctx already carries. It returns immediately — no
-// closure — so span-bracketed code can switch stages mid-function:
-//
-//	profiling.SetStage(ctx, "arborescence")
-//	... solve ...
-//	profiling.SetStage(ctx, "tree_build")
-//	... build ...
-//	profiling.ClearStage(ctx)
-//
-// Goroutines spawned while a stage label is set inherit it, which is how
-// the par fan-out workers get labeled without per-item cost. The cost per
-// call is one small label-set copy; callers keep it off per-tree loops and
-// on per-stage or per-component boundaries.
-func SetStage(ctx context.Context, stage string) {
-	pprof.SetGoroutineLabels(pprof.WithLabels(ctx, pprof.Labels(LabelStage, stage)))
-}
-
-// ClearStage restores the goroutine's labels to the set carried by ctx —
-// the route/model labels of the surrounding request, without any stage.
-func ClearStage(ctx context.Context) {
-	pprof.SetGoroutineLabels(ctx)
 }

@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 func TestConfigDefaults(t *testing.T) {
@@ -248,7 +250,7 @@ func TestLabelHelpers(t *testing.T) {
 }
 
 // TestLabelAttribution is the mechanism check behind the acceptance
-// criterion: CPU burned inside Do+SetStage must show up in the decoded
+// criterion: CPU burned inside Do+obs.Stage must show up in the decoded
 // profile under those labels.
 func TestLabelAttribution(t *testing.T) {
 	var buf bytes.Buffer
@@ -256,9 +258,9 @@ func TestLabelAttribution(t *testing.T) {
 		t.Skipf("cannot start CPU profile: %v", err)
 	}
 	Do(context.Background(), func(ctx context.Context) {
-		SetStage(ctx, "tree_dp")
+		span := obs.Stage(ctx, obs.StageTreeDP)
 		busyLoop()
-		ClearStage(ctx)
+		span.End()
 	}, LabelRoute, "detect")
 	pprof.StopCPUProfile()
 

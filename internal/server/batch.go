@@ -110,7 +110,7 @@ func (s *Server) handleDetectBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	// Reject unknown detector names before burning a worker slot.
-	probe, err := buildDetector(req.Detector, req.Alpha, req.Beta, 1)
+	probe, err := core.NewDetector(req.Detector, req.Alpha, req.Beta, 1)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -145,7 +145,7 @@ func (s *Server) detectBatch(ctx context.Context, req *DetectBatchRequest) (resp
 	}
 	detectors := make([]core.Detector, workers)
 	for i := range detectors {
-		if detectors[i], err = buildDetector(req.Detector, req.Alpha, req.Beta, itemParallelism); err != nil {
+		if detectors[i], err = core.NewDetector(req.Detector, req.Alpha, req.Beta, itemParallelism); err != nil {
 			return nil, err
 		}
 	}
@@ -163,7 +163,6 @@ func (s *Server) detectBatch(ctx context.Context, req *DetectBatchRequest) (resp
 			ElapsedMS: float64(time.Since(start)) / float64(time.Millisecond),
 			Status:    statusOf(err),
 			Stages:    rec.StageViews(),
-			Counters:  rec.Counters(),
 			Algo:      rec.CounterSetSnapshot(),
 		}
 		if err != nil {
@@ -173,8 +172,7 @@ func (s *Server) detectBatch(ctx context.Context, req *DetectBatchRequest) (resp
 	}()
 
 	// One graph resolution serves every item.
-	profiling.SetStage(ctx, obs.StageGraphBuild)
-	span := rec.Start(obs.StageGraphBuild)
+	span := obs.Stage(obs.WithRecorder(ctx, rec), obs.StageGraphBuild)
 	var (
 		g          *sgraph.Graph
 		hash       string
@@ -187,7 +185,6 @@ func (s *Server) detectBatch(ctx context.Context, req *DetectBatchRequest) (resp
 		g, cacheState, err = s.lookupGraph(req.GraphHash)
 	}
 	span.End()
-	profiling.ClearStage(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -256,11 +253,9 @@ func (s *Server) detectItem(ctx context.Context, item *trace.Observation, detect
 	if err := item.Validate(g.NumNodes()); err != nil {
 		return err
 	}
-	profiling.SetStage(ctx, obs.StageSnapshot)
-	span := rec.Start(obs.StageSnapshot)
+	span := obs.Stage(ctx, obs.StageSnapshot)
 	snap, err := item.SnapshotOn(g)
 	span.End()
-	profiling.ClearStage(ctx)
 	if err != nil {
 		return err
 	}

@@ -17,8 +17,8 @@ import (
 // This file serves the flight recorder at GET /debug/requests: an
 // net/trace-style HTML table of the last N completed compute requests
 // (newest first, failed and slow rows pinned past eviction and tinted),
-// with per-request drill-down (?trace=<id>) into the span tree, pipeline
-// counters and typed algorithm counters. ?format=json serves the same data
+// with per-request drill-down (?trace=<id>) into the span tree and the
+// typed algorithm counters. ?format=json serves the same data
 // machine-readable.
 
 // flightJSON is the JSON document served on /debug/requests?format=json.
@@ -223,17 +223,10 @@ type stageRowView struct {
 	MaxMS   float64
 }
 
-// kvRow is one named counter on the drill-down page.
-type kvRow struct {
-	Name  string
-	Value int64
-}
-
 type flightDetailView struct {
 	R        obs.FlightRecord
 	Row      flightRowView
 	Stages   []stageRowView
-	Counters []kvRow
 	AlgoJSON string
 }
 
@@ -245,9 +238,6 @@ func newFlightDetailView(fr obs.FlightRecord) flightDetailView {
 		v.Stages = append(v.Stages, stageRowView{
 			Name: name, Count: st.Count, TotalMS: st.TotalMS, MaxMS: st.MaxMS,
 		})
-	}
-	for _, name := range obs.SortedKeys(fr.Counters) {
-		v.Counters = append(v.Counters, kvRow{Name: name, Value: fr.Counters[name]})
 	}
 	if fr.Algo != nil {
 		if b, err := json.MarshalIndent(fr.Algo, "", "  "); err == nil {
@@ -310,10 +300,6 @@ var flightDetailTmpl = template.Must(template.New("flight-detail").Parse(`<!DOCT
 <table><tr><th>stage</th><th>count</th><th>total ms</th><th>max ms</th></tr>
 {{range .Stages}}<tr><td>{{.Name}}</td><td class="num">{{.Count}}</td>
 <td class="num">{{printf "%.3f" .TotalMS}}</td><td class="num">{{printf "%.3f" .MaxMS}}</td></tr>
-{{end}}</table>{{end}}
-{{if .Counters}}<h2>pipeline counters</h2>
-<table><tr><th>counter</th><th>value</th></tr>
-{{range .Counters}}<tr><td>{{.Name}}</td><td class="num">{{.Value}}</td></tr>
 {{end}}</table>{{end}}
 {{if .AlgoJSON}}<h2>algorithm counters</h2>
 <pre>{{.AlgoJSON}}</pre>{{end}}

@@ -174,6 +174,8 @@ func statusOf(err error) int {
 	switch {
 	case errors.As(err, &he):
 		return he.status
+	case errors.Is(err, core.ErrUnknownDetector):
+		return http.StatusBadRequest
 	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout
 	case errors.Is(err, context.Canceled):
@@ -185,41 +187,6 @@ func statusOf(err error) int {
 
 func writeError(w http.ResponseWriter, err error) {
 	writeJSON(w, statusOf(err), errorResponse{Error: err.Error()})
-}
-
-// buildDetector mirrors the ridlab CLI's method names so traces move
-// between the batch tools and the service without renaming anything.
-// parallelism is the server-configured pipeline fan-out, forwarded to the
-// detectors that accept it (results are identical at every setting).
-func buildDetector(name string, alpha, beta float64, parallelism int) (core.Detector, error) {
-	if name == "" {
-		name = "rid"
-	}
-	if alpha == 0 {
-		alpha = 3
-	}
-	if beta == 0 {
-		beta = 0.3
-	}
-	switch name {
-	case "rid":
-		return core.NewRID(core.RIDConfig{Alpha: alpha, Beta: beta, Parallelism: parallelism})
-	case "rid-tree":
-		return core.NewRIDTree(alpha)
-	case "rid-positive":
-		return core.RIDPositive{}, nil
-	case "rumor-centrality":
-		return core.RumorCentrality{}, nil
-	case "jordan-center":
-		return core.JordanCenter{}, nil
-	case "degree-max":
-		return core.DegreeMax{}, nil
-	case "ensemble":
-		return core.NewEnsembleConfig(core.RIDConfig{Alpha: alpha, Parallelism: parallelism},
-			[]float64{0.5 * beta, beta, 2 * beta}, 2)
-	default:
-		return nil, badRequest("unknown detector %q", name)
-	}
 }
 
 // resolveGraph returns the built network for a trace and the cache state:
@@ -273,7 +240,7 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 		writeError(w, badRequest("k must be non-negative, got %d", req.K))
 		return
 	}
-	detector, err := buildDetector(req.Detector, req.Alpha, req.Beta, s.cfg.Parallelism)
+	detector, err := core.NewDetector(req.Detector, req.Alpha, req.Beta, s.cfg.Parallelism)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -310,7 +277,6 @@ func (s *Server) detect(ctx context.Context, req *DetectRequest, detector core.D
 			ElapsedMS: float64(time.Since(start)) / float64(time.Millisecond),
 			Status:    statusOf(err),
 			Stages:    rec.StageViews(),
-			Counters:  rec.Counters(),
 			Algo:      rec.CounterSetSnapshot(),
 		}
 		if err != nil {
@@ -318,19 +284,15 @@ func (s *Server) detect(ctx context.Context, req *DetectRequest, detector core.D
 		}
 		s.recordFlight(fr)
 	}()
-	profiling.SetStage(ctx, obs.StageGraphBuild)
-	span := rec.Start(obs.StageGraphBuild)
+	span := obs.Stage(ctx, obs.StageGraphBuild)
 	g, hash, cacheState, err := s.resolveGraph(req.Trace)
 	span.End()
 	if err != nil {
-		profiling.ClearStage(ctx)
 		return nil, err
 	}
-	profiling.SetStage(ctx, obs.StageSnapshot)
-	span = rec.Start(obs.StageSnapshot)
+	span = obs.Stage(ctx, obs.StageSnapshot)
 	snap, err := req.Trace.SnapshotOn(g)
 	span.End()
-	profiling.ClearStage(ctx)
 	if err != nil {
 		return nil, badRequest("%v", err)
 	}

@@ -90,7 +90,6 @@ type Registry struct {
 	build    BuildInfo
 	requests map[string]map[int]int64
 	latency  map[string]*Histogram
-	pipeline map[string]int64
 	algo     obs.CounterSet
 	rejected int64
 	hits     int64
@@ -111,7 +110,6 @@ func NewRegistry() *Registry {
 		},
 		requests: make(map[string]map[int]int64),
 		latency:  make(map[string]*Histogram),
-		pipeline: make(map[string]int64),
 	}
 }
 
@@ -175,7 +173,7 @@ func (r *Registry) CountCache(hit bool) {
 // MergeRecorder folds one request's pipeline recorder into the registry:
 // each stage's per-request total becomes an observation on the
 // "stage.<name>" latency histogram (so /metrics carries per-stage
-// distributions across requests), and the pipeline counters accumulate.
+// distributions across requests), and the typed counters accumulate.
 func (r *Registry) MergeRecorder(rec *obs.Recorder) {
 	if rec == nil {
 		return
@@ -183,12 +181,8 @@ func (r *Registry) MergeRecorder(rec *obs.Recorder) {
 	for name, st := range rec.Stages() {
 		r.Observe(stagePrefix+name, st.Total)
 	}
-	counters := rec.Counters()
 	cs := rec.CounterSetSnapshot()
 	r.mu.Lock()
-	for name, n := range counters {
-		r.pipeline[name] += n
-	}
 	r.algo.Merge(cs)
 	r.mu.Unlock()
 }
@@ -263,10 +257,6 @@ type Snapshot struct {
 	LatencyMS     map[string]*HistogramSnapshot `json:"latency_ms"`
 	Queue         QueueSnapshot                 `json:"queue"`
 	Cache         CacheSnapshot                 `json:"cache"`
-	// Pipeline accumulates the obs counters (infected nodes, candidate
-	// edges, components, trees, DP cells, budget fallbacks) across every
-	// detect served. Omitted until the first instrumented request.
-	Pipeline map[string]int64 `json:"pipeline,omitempty"`
 	// Algo accumulates the typed algorithm-depth counters (arborescence
 	// kernel operations, forest shape histograms, per-tree DP modes,
 	// diffusion work) across every served request. Omitted until the first
@@ -327,12 +317,6 @@ func (r *Registry) Snapshot(queue QueueSnapshot, cacheSize, cacheCap int) *Snaps
 		LatencyMS:     make(map[string]*HistogramSnapshot, len(r.latency)),
 	}
 	s.Runtime = &rt
-	if len(r.pipeline) > 0 {
-		s.Pipeline = make(map[string]int64, len(r.pipeline))
-		for name, n := range r.pipeline {
-			s.Pipeline[name] = n
-		}
-	}
 	if !r.algo.Zero() {
 		cp := r.algo
 		s.Algo = &cp

@@ -74,14 +74,6 @@ func renderMetricFamilies(p *obs.PromWriter, s *Snapshot) {
 	writeLatencyFamily(p, "ridserve_stage_duration_seconds",
 		"Per-request pipeline stage wall time, by stage.", "stage", stageLabels, s, stagePrefix)
 
-	if len(s.Pipeline) > 0 {
-		p.Header("ridserve_pipeline_events_total", "Pipeline work counters accumulated across detects.", "counter")
-		for _, name := range obs.SortedKeys(s.Pipeline) {
-			p.IntSample("ridserve_pipeline_events_total",
-				[]obs.PromLabel{{Name: "event", Value: name}}, s.Pipeline[name])
-		}
-	}
-
 	if s.Algo != nil {
 		p.Header("ridserve_algo_events_total",
 			"Algorithm-depth work counters (arborescence kernel ops, forest extraction, tree DP modes, diffusion) accumulated across requests.",

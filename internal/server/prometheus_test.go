@@ -28,9 +28,8 @@ func TestRenderPrometheusGolden(t *testing.T) {
 			`detect.RID"w\`: {Count: 3, SumMS: 7.5, BoundsMS: []float64{1, 5}, Buckets: []int64{1, 2, 3}},
 			"stage.tree_dp": {Count: 2, SumMS: 3, BoundsMS: []float64{1, 5}, Buckets: []int64{0, 2, 2}},
 		},
-		Pipeline: map[string]int64{"dp_cells": 42, "trees": 7},
-		Queue:    QueueSnapshot{Depth: 1, Capacity: 16, Workers: 4, Rejected: 2},
-		Cache:    CacheSnapshot{Hits: 3, Misses: 1, HitRate: 0.75, Size: 1, Capacity: 64},
+		Queue: QueueSnapshot{Depth: 1, Capacity: 16, Workers: 4, Rejected: 2},
+		Cache: CacheSnapshot{Hits: 3, Misses: 1, HitRate: 0.75, Size: 1, Capacity: 64},
 	}
 	var b strings.Builder
 	if err := RenderPrometheus(&b, snap); err != nil {
@@ -60,10 +59,6 @@ ridserve_stage_duration_seconds_bucket{stage="tree_dp",le="0.005"} 2
 ridserve_stage_duration_seconds_bucket{stage="tree_dp",le="+Inf"} 2
 ridserve_stage_duration_seconds_sum{stage="tree_dp"} 0.003
 ridserve_stage_duration_seconds_count{stage="tree_dp"} 2
-# HELP ridserve_pipeline_events_total Pipeline work counters accumulated across detects.
-# TYPE ridserve_pipeline_events_total counter
-ridserve_pipeline_events_total{event="dp_cells"} 42
-ridserve_pipeline_events_total{event="trees"} 7
 # HELP ridserve_queue_depth Jobs waiting in the worker-pool queue.
 # TYPE ridserve_queue_depth gauge
 ridserve_queue_depth 1
@@ -94,7 +89,7 @@ ridserve_cache_capacity 64
 
 // TestMetricsPrometheusEndpoint exercises the live endpoint: after a real
 // detect, ?format=prometheus serves valid text format carrying per-stage
-// histograms and pipeline counters, every bucket series is cumulative and
+// histograms and algorithm counters, every bucket series is cumulative and
 // ends at its family count, and an unknown format is rejected.
 func TestMetricsPrometheusEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
@@ -115,7 +110,8 @@ func TestMetricsPrometheusEndpoint(t *testing.T) {
 		"# TYPE ridserve_stage_duration_seconds histogram",
 		`ridserve_stage_duration_seconds_bucket{stage="tree_dp",le="+Inf"}`,
 		`ridserve_requests_total{route="detect",status="200"} 1`,
-		`ridserve_pipeline_events_total{event="trees"}`,
+		`ridserve_algo_events_total{event="cascade_trees"}`,
+		"ridserve_cascade_tree_size_sum ",
 		"ridserve_build_info{go_arch=",
 		"ridserve_uptime_seconds ",
 	} {
@@ -204,8 +200,8 @@ func TestMetricsPrometheusEndpoint(t *testing.T) {
 	if snap.Profiling == nil || snap.Profiling.Enabled {
 		t.Errorf("profiling snapshot = %+v, want present and disabled", snap.Profiling)
 	}
-	if snap.Pipeline["trees"] < 1 {
-		t.Errorf("pipeline counters not merged: %v", snap.Pipeline)
+	if snap.Algo == nil || snap.Algo.Cascade.Trees < 1 {
+		t.Errorf("algo counters not merged: %+v", snap.Algo)
 	}
 
 	resp, body = getBody(t, ts, "/metrics?format=xml")

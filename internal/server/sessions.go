@@ -253,7 +253,6 @@ func (s *Server) sessionDetect(ctx context.Context, sess *ingest.Session, k int)
 			ElapsedMS: float64(time.Since(start)) / float64(time.Millisecond),
 			Status:    statusOf(err),
 			Stages:    rec.StageViews(),
-			Counters:  rec.Counters(),
 			Algo:      rec.CounterSetSnapshot(),
 		}
 		if err != nil {

@@ -209,20 +209,15 @@ func TestTracePropagationEndToEnd(t *testing.T) {
 	if v, ok := attrValue(root, "request.detail"); !ok || !strings.HasPrefix(v, "detector=") {
 		t.Fatalf("request.detail = %q, want detector name", v)
 	}
-	// The pipeline's work counters and algorithm-depth counters must ride
-	// on the root span.
-	if _, ok := attrValue(root, "counter.infected_nodes"); !ok {
-		t.Error("counter.infected_nodes attribute missing")
+	// The pipeline's typed counters must ride on the root span, and the
+	// named counter layer they replaced must be gone.
+	if _, ok := attrValue(root, "algo.cascade_infected_nodes"); !ok {
+		t.Error("algo.cascade_infected_nodes attribute missing")
 	}
-	foundAlgo := false
 	for _, a := range root.Attributes {
-		if strings.HasPrefix(a.Key, "algo.") {
-			foundAlgo = true
-			break
+		if strings.HasPrefix(a.Key, "counter.") {
+			t.Errorf("named counter attribute %s still exported", a.Key)
 		}
-	}
-	if !foundAlgo {
-		t.Error("no algo.* attributes on the detect span")
 	}
 	// Stage child spans hang off the root within the same trace.
 	stages := 0
