@@ -37,9 +37,8 @@
 // burn rates, session gauges and Go runtime health. Requests are
 // access-logged via slog (-log-level, -log-format) under a W3C trace
 // context: an inbound traceparent header is honored (tracestate validated,
-// malformed ones dropped per spec), a legacy X-Trace-Id ([0-9A-Za-z._-],
-// at most 64 bytes) maps onto a deterministic valid trace id, and
-// responses carry both traceparent and X-Trace-Id. Completed requests
+// malformed ones dropped per spec), a request without one starts a fresh
+// trace, and the response carries this hop's traceparent. Completed requests
 // export as OTLP/JSON spans — stages as child spans, work and algorithm
 // counters as attributes — to an OTLP/HTTP collector (-otlp-endpoint)
 // and/or an NDJSON capture file (-otlp-file), under tail-based sampling:

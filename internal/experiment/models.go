@@ -8,6 +8,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/diffusion"
 	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/profiling"
 	"repro/internal/viz"
 	"repro/internal/xrand"
@@ -92,9 +93,11 @@ func modelRow(w Workload, name string, params diffusion.Params) (ModelRow, error
 		// experiments CLI under -profile, or this code path embedded in a
 		// server) attributes each model's CPU separately.
 		var c *diffusion.Cascade
-		profiling.Do(context.Background(), func(context.Context) {
+		profiling.Do(context.Background(), func(ctx context.Context) {
+			span := obs.Stage(ctx, obs.StageDiffusion)
 			c, err = m.Run(dif, seeds, states, rng)
-		}, profiling.LabelModel, name, profiling.LabelStage, "diffusion")
+			span.End()
+		}, profiling.LabelModel, name)
 		if err != nil {
 			return ModelRow{}, err
 		}

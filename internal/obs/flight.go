@@ -13,7 +13,7 @@ type FlightRecord struct {
 	// Seq is the recorder-assigned monotonic sequence number (1-based);
 	// newest records have the highest Seq.
 	Seq uint64 `json:"seq"`
-	// TraceID correlates with access logs and X-Trace-Id.
+	// TraceID correlates with access logs and the traceparent header.
 	TraceID string `json:"trace_id"`
 	// Route is the serving endpoint (e.g. "/detect"); Detail free-form
 	// request context (detector name, graph source).

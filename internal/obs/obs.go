@@ -33,12 +33,12 @@ import (
 	"time"
 )
 
-// Stage names recorded by the RID pipeline, in execution order. They are
-// disjoint (no stage nests inside another), so their durations sum to at
-// most the end-to-end detect time.
+// Stage names recorded by the RID pipeline, in execution order, plus the
+// simulate route's diffusion run. They are disjoint (no stage nests inside
+// another), so their durations sum to at most the end-to-end request time.
 const (
-	// StageGraphBuild is wire-trace validation plus adjacency construction
-	// (skipped on a graph-cache hit).
+	// StageGraphBuild is graph resolution: network hashing, the cache and
+	// snapshot-store lookups, and adjacency construction on a miss.
 	StageGraphBuild = "graph_build"
 	// StageSnapshot is observed-state binding onto the built network.
 	StageSnapshot = "snapshot"
@@ -59,6 +59,9 @@ const (
 	// StageTreeDP is per-tree initiator inference (threshold rule,
 	// penalized DP or budget DP), summed over trees.
 	StageTreeDP = "tree_dp"
+	// StageDiffusion is one diffusion-model run (simulation, not
+	// detection).
+	StageDiffusion = "diffusion"
 )
 
 // StageStat aggregates the observations of one stage within a Recorder.

@@ -5,8 +5,7 @@ package obs
 // (version, 128-bit trace id, 64-bit parent span id, flags), lightweight
 // tracestate validation, and the context plumbing the server middleware
 // uses to honor inbound distributed-trace context and link spans across
-// replicas. Legacy X-Trace-Id tokens map onto valid trace ids through a
-// deterministic hash so pre-W3C clients keep their correlation handle.
+// replicas.
 
 import (
 	"context"
@@ -244,20 +243,6 @@ func allZeroBytes(b []byte) bool {
 		}
 	}
 	return true
-}
-
-// TraceIDFromLegacy maps a legacy trace token (the pre-W3C X-Trace-Id
-// alphabet, [0-9A-Za-z._-]) onto a valid W3C trace id deterministically: a
-// token that already is a valid trace id passes through unchanged; any
-// other token becomes the first 16 bytes of its SHA-256, hex-encoded. The
-// mapping is pure, so every replica derives the same trace id from the
-// same legacy token and cross-process correlation survives the migration.
-func TraceIDFromLegacy(token string) string {
-	if ValidTraceID(token) {
-		return token
-	}
-	sum := sha256.Sum256([]byte(token))
-	return hex.EncodeToString(sum[:16])
 }
 
 // DeriveSpanID derives a child span id from a parent span id and a stable

@@ -124,31 +124,6 @@ func TestParseTraceStateRejections(t *testing.T) {
 	}
 }
 
-func TestTraceIDFromLegacy(t *testing.T) {
-	// A token that already is a valid W3C trace id passes through unchanged.
-	if got := TraceIDFromLegacy(tpTraceID); got != tpTraceID {
-		t.Fatalf("valid id mapped to %q, want pass-through", got)
-	}
-	// Any other token maps deterministically; these literals pin the
-	// mapping (first 16 bytes of SHA-256, hex) so it can never drift
-	// without a loud test failure — replicas and historic captures rely
-	// on the same token always yielding the same trace id.
-	pinned := map[string]string{
-		"cafe0123cafe0123": "9c934bc5f70b623a2a27eaa816b4ae72",
-		"flight-detect-1":  "eb77cfb6468692056e61a72bbbd7ae9b",
-		"req-42":           "fd1180d9f0c0819f00056b7b9de19fce",
-	}
-	for token, want := range pinned {
-		got := TraceIDFromLegacy(token)
-		if got != want {
-			t.Errorf("TraceIDFromLegacy(%q) = %q, want %q", token, got, want)
-		}
-		if !ValidTraceID(got) {
-			t.Errorf("TraceIDFromLegacy(%q) = %q is not a valid trace id", token, got)
-		}
-	}
-}
-
 func TestDeriveSpanID(t *testing.T) {
 	a := DeriveSpanID(tpSpanID, "tree_dp")
 	if a != DeriveSpanID(tpSpanID, "tree_dp") {

@@ -5,19 +5,15 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"io/fs"
-	"log/slog"
 	"net/http"
 	"strconv"
 	"strings"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/profiling"
-	"repro/internal/sgraph"
 	"repro/internal/trace"
 )
 
@@ -91,10 +87,6 @@ func (s *Server) handleDetectBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	if (req.Trace == nil) == (req.GraphHash == "") {
-		writeError(w, badRequest("exactly one of trace or graph_hash is required"))
-		return
-	}
 	if len(req.Items) == 0 {
 		writeError(w, badRequest("missing items"))
 		return
@@ -102,12 +94,6 @@ func (s *Server) handleDetectBatch(w http.ResponseWriter, r *http.Request) {
 	if req.K < 0 {
 		writeError(w, badRequest("k must be non-negative, got %d", req.K))
 		return
-	}
-	if req.Trace != nil {
-		if err := req.Trace.Validate(); err != nil {
-			writeError(w, badRequest("%v", err))
-			return
-		}
 	}
 	// Reject unknown detector names before burning a worker slot.
 	probe, err := core.NewDetector(req.Detector, req.Alpha, req.Beta, 1)
@@ -128,9 +114,6 @@ func (s *Server) handleDetectBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) detectBatch(ctx context.Context, req *DetectBatchRequest) (resp *DetectBatchResponse, err error) {
-	start := time.Now()
-	rec := obs.NewRecorder()
-
 	// Items fan out across the request's parallelism budget; each item's
 	// detector then runs serially (Parallelism 1) so a batch never exceeds
 	// the concurrency one parallel detect would use. A single-item batch
@@ -149,70 +132,42 @@ func (s *Server) detectBatch(ctx context.Context, req *DetectBatchRequest) (resp
 			return nil, err
 		}
 	}
-	detail := fmt.Sprintf("detector=%s items=%d", detectors[0].Name(), len(req.Items))
-	if t := obs.TelemetryFrom(ctx); t != nil {
-		t.SetRecorder(rec)
-		t.SetDetail(detail)
-	}
-	defer func() {
-		fr := obs.FlightRecord{
-			TraceID:   obs.TraceID(ctx),
-			Route:     "/v1/detect/batch",
-			Detail:    detail,
-			Start:     start,
-			ElapsedMS: float64(time.Since(start)) / float64(time.Millisecond),
-			Status:    statusOf(err),
-			Stages:    rec.StageViews(),
-			Algo:      rec.CounterSetSnapshot(),
-		}
-		if err != nil {
-			fr.Error = err.Error()
-		}
-		s.recordFlight(fr)
-	}()
+	sc := s.begin(ctx, "/v1/detect/batch", "detect_batch",
+		fmt.Sprintf("detector=%s items=%d", detectors[0].Name(), len(req.Items)))
+	defer func() { sc.end(err) }()
 
 	// One graph resolution serves every item.
-	span := obs.Stage(obs.WithRecorder(ctx, rec), obs.StageGraphBuild)
-	var (
-		g          *sgraph.Graph
-		hash       string
-		cacheState string
-	)
-	if req.Trace != nil {
-		g, hash, cacheState, err = s.resolveGraph(req.Trace)
-	} else {
-		hash = req.GraphHash
-		g, cacheState, err = s.lookupGraph(req.GraphHash)
-	}
-	span.End()
+	g, hash, cacheState, err := s.resolveGraph(sc.ctx, req.Trace, req.GraphHash)
 	if err != nil {
 		return nil, err
 	}
 
 	results := make([]BatchItemResult, len(req.Items))
 	itemRecs := make([]*obs.Recorder, len(req.Items))
-	perr := par.ForEach(ctx, workers, len(req.Items), func(worker, i int) error {
+	perr := par.ForEach(sc.ctx, workers, len(req.Items), func(worker, i int) error {
 		item := &req.Items[i]
-		res := &results[i]
-		res.Name = item.Name
 		itemStart := time.Now()
 		irec := obs.NewRecorder()
 		itemRecs[i] = irec
-		itemErr := s.detectItem(obs.WithRecorder(ctx, irec), item, detectors[worker], req.K, irec, res, g)
-		res.ElapsedMS = float64(time.Since(itemStart)) / float64(time.Millisecond)
+		itemErr := item.Validate(g.NumNodes())
+		if itemErr == nil {
+			results[i], itemErr = detectObservation(obs.WithRecorder(sc.ctx, irec), item, g, detectors[worker], req.K)
+		}
 		if itemErr != nil {
 			// Per-item isolation: every failure — a bad item, or the batch
 			// deadline catching this item mid-solve — lands in this item's
 			// own Error field. Completed results are never discarded.
-			res.Error = itemErr.Error()
+			results[i].Error = itemErr.Error()
 		}
+		results[i].Name = item.Name
+		results[i].ElapsedMS = millis(time.Since(itemStart))
 		return nil
 	})
 	// A batch-wide cancellation or deadline stops the fan-out between
 	// items: finished work is kept, and items that never started report
 	// the batch-wide cause in their own Error field so the response stays
 	// index-aligned with the request.
-	if cerr := ctx.Err(); cerr != nil {
+	if cerr := sc.ctx.Err(); cerr != nil {
 		for i := range results {
 			if itemRecs[i] == nil {
 				results[i].Name = req.Items[i].Name
@@ -224,80 +179,22 @@ func (s *Server) detectBatch(ctx context.Context, req *DetectBatchRequest) (resp
 	}
 	failed := 0
 	for i := range results {
-		if itemRecs[i] != nil {
-			rec.MergeFrom(itemRecs[i])
-		}
+		sc.rec.MergeFrom(itemRecs[i])
 		if results[i].Error != "" {
 			failed++
 		}
 	}
-	s.reg.MergeRecorder(rec)
-	resp = &DetectBatchResponse{
+	return &DetectBatchResponse{
 		Detector:     detectors[0].Name(),
 		GraphHash:    hash,
 		Cache:        cacheState,
 		Items:        results,
 		Failed:       failed,
-		ElapsedMS:    float64(time.Since(start)) / float64(time.Millisecond),
-		StageTimings: rec.StageMillis(),
-		Algo:         rec.CounterSetSnapshot(),
-		TraceID:      obs.TraceID(ctx),
-	}
-	s.reg.Observe("detect_batch", time.Since(start))
-	return resp, nil
-}
-
-// detectItem solves one observation of a batch against the shared graph,
-// filling res on success.
-func (s *Server) detectItem(ctx context.Context, item *trace.Observation, detector core.Detector, k int, rec *obs.Recorder, res *BatchItemResult, g *sgraph.Graph) error {
-	if err := item.Validate(g.NumNodes()); err != nil {
-		return err
-	}
-	span := obs.Stage(ctx, obs.StageSnapshot)
-	snap, err := item.SnapshotOn(g)
-	span.End()
-	if err != nil {
-		return err
-	}
-	det, err := core.DetectWithContext(ctx, detector, snap)
-	if err != nil {
-		return err
-	}
-	res.Initiators = rankInitiators(det, k)
-	res.Trees = det.Trees
-	res.Components = det.Components
-	res.Algo = rec.CounterSetSnapshot()
-	if seeds, _, err := item.GroundTruth(); err == nil && len(seeds) > 0 {
-		detected := make([]int, len(res.Initiators))
-		for i, ri := range res.Initiators {
-			detected[i] = ri.Node
-		}
-		id := metrics.EvalIdentity(detected, seeds)
-		res.Truth = &TruthReport{Precision: id.Precision, Recall: id.Recall, F1: id.F1}
-	}
-	return nil
-}
-
-// lookupGraph fetches a previously built network by content hash: the LRU
-// first, then the snapshot store ("warm" — the graph comes back as
-// zero-copy views over the snapshot file and is re-cached). A hash in
-// neither answers 404 so the client knows to resubmit the trace.
-func (s *Server) lookupGraph(hash string) (*sgraph.Graph, string, error) {
-	if g, ok := s.cache.Get(hash); ok {
-		s.reg.CountCache(true)
-		return g, "hit", nil
-	}
-	s.reg.CountCache(false)
-	g, err := s.snapshots.Load(hash)
-	if err != nil {
-		if !errors.Is(err, fs.ErrNotExist) {
-			slog.Warn("server: snapshot load failed", "hash", hash, "err", err)
-		}
-		return nil, "", &httpError{status: http.StatusNotFound,
-			msg: fmt.Sprintf("graph %s not cached; resubmit the trace", hash)}
-	}
-	s.cache.Put(hash, g)
-	return g, "warm", nil
+		ElapsedMS:    millis(time.Since(sc.start)),
+		StageTimings: sc.rec.StageMillis(),
+		Algo:         sc.rec.CounterSetSnapshot(),
+		TraceID:      obs.TraceID(sc.ctx),
+	}, nil
 }
 
 // decodeDetect reads a detect request in either wire form. JSON carries

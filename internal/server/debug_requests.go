@@ -193,26 +193,30 @@ type flightListView struct {
 func newFlightListView(records []obs.FlightRecord, slowMS float64) flightListView {
 	v := flightListView{SlowMS: slowMS, Records: make([]flightRowView, len(records))}
 	for i, fr := range records {
-		row := flightRowView{
-			Seq:       fr.Seq,
-			TraceID:   fr.TraceID,
-			Route:     fr.Route,
-			Detail:    fr.Detail,
-			Start:     fr.Start.Format("15:04:05.000"),
-			ElapsedMS: fr.ElapsedMS,
-			Status:    fr.Status,
-			Pinned:    fr.Pinned,
-			Error:     fr.Error,
-		}
-		switch {
-		case fr.Error != "" || fr.Status >= 400:
-			row.Class = "err"
-		case fr.Pinned:
-			row.Class = "pin"
-		}
-		v.Records[i] = row
+		v.Records[i] = newFlightRow(fr)
 	}
 	return v
+}
+
+func newFlightRow(fr obs.FlightRecord) flightRowView {
+	row := flightRowView{
+		Seq:       fr.Seq,
+		TraceID:   fr.TraceID,
+		Route:     fr.Route,
+		Detail:    fr.Detail,
+		Start:     fr.Start.Format("15:04:05.000"),
+		ElapsedMS: fr.ElapsedMS,
+		Status:    fr.Status,
+		Pinned:    fr.Pinned,
+		Error:     fr.Error,
+	}
+	switch {
+	case fr.Error != "" || fr.Status >= 400:
+		row.Class = "err"
+	case fr.Pinned:
+		row.Class = "pin"
+	}
+	return row
 }
 
 // stageRowView is one span aggregate on the drill-down page.
@@ -231,8 +235,7 @@ type flightDetailView struct {
 }
 
 func newFlightDetailView(fr obs.FlightRecord) flightDetailView {
-	v := flightDetailView{R: fr}
-	v.Row = newFlightListView([]obs.FlightRecord{fr}, 0).Records[0]
+	v := flightDetailView{R: fr, Row: newFlightRow(fr)}
 	for _, name := range obs.SortedKeys(fr.Stages) {
 		st := fr.Stages[name]
 		v.Stages = append(v.Stages, stageRowView{

@@ -13,7 +13,8 @@ import (
 	"repro/internal/obs"
 )
 
-// doTraced posts a JSON request with an explicit X-Trace-Id header.
+// doTraced posts a JSON request continuing the W3C trace traceID (32 hex)
+// via a traceparent header.
 func doTraced(t *testing.T, ts *httptest.Server, path, traceID string, body any) (*http.Response, []byte) {
 	t.Helper()
 	payload, err := json.Marshal(body)
@@ -26,7 +27,7 @@ func doTraced(t *testing.T, ts *httptest.Server, path, traceID string, body any)
 	}
 	req.Header.Set("Content-Type", "application/json")
 	if traceID != "" {
-		req.Header.Set("X-Trace-Id", traceID)
+		req.Header.Set("traceparent", "00-"+traceID+"-00f067aa0ba902b7-01")
 	}
 	resp, err := ts.Client().Do(req)
 	if err != nil {
@@ -117,9 +118,10 @@ func TestSimulateResponseAlgoCounters(t *testing.T) {
 // first, with the failure pinned and the drill-down carrying the span tree
 // and counters.
 func TestDebugRequestsEndToEnd(t *testing.T) {
+	const flightTraceID = "f1196700000000000000000000000001"
 	_, ts := newTestServer(t, Config{})
 	tr := sampleTrace(t, 43, 200, 1200, 4)
-	if resp, body := doTraced(t, ts, "/v1/detect", "flight-detect-1", DetectRequest{Trace: tr, Beta: 0.3}); resp.StatusCode != http.StatusOK {
+	if resp, body := doTraced(t, ts, "/v1/detect", flightTraceID, DetectRequest{Trace: tr, Beta: 0.3}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("detect status = %d %s", resp.StatusCode, body)
 	}
 	if resp, body := postJSON(t, ts, "/v1/simulate", SimulateRequest{GraphHash: tr.NetworkHash(), Initiators: []int{0}}); resp.StatusCode != http.StatusOK {
@@ -161,9 +163,8 @@ func TestDebugRequestsEndToEnd(t *testing.T) {
 	if detectRec == nil {
 		t.Fatal("detect not retained")
 	}
-	mapped := obs.TraceIDFromLegacy("flight-detect-1")
-	if detectRec.TraceID != mapped {
-		t.Errorf("detect record trace = %q, want the client-supplied ID mapped to %q", detectRec.TraceID, mapped)
+	if detectRec.TraceID != flightTraceID {
+		t.Errorf("detect record trace = %q, want the client's %q", detectRec.TraceID, flightTraceID)
 	}
 	if !strings.HasPrefix(detectRec.Detail, "detector=") {
 		t.Errorf("detect record detail = %q", detectRec.Detail)
@@ -194,17 +195,17 @@ func TestDebugRequestsEndToEnd(t *testing.T) {
 	}
 
 	// Drill-down: HTML carries stages and algorithm counters; JSON round-trips.
-	resp, body = getBody(t, ts, "/debug/requests?trace="+mapped)
+	resp, body = getBody(t, ts, "/debug/requests?trace="+flightTraceID)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("drill-down status = %d", resp.StatusCode)
 	}
 	detail := string(body)
-	for _, want := range []string{"tree_dp", "algorithm counters", "tarjan_solves", mapped} {
+	for _, want := range []string{"tree_dp", "algorithm counters", "tarjan_solves", flightTraceID} {
 		if !strings.Contains(detail, want) {
 			t.Errorf("drill-down missing %q", want)
 		}
 	}
-	resp, body = getBody(t, ts, "/debug/requests?trace="+mapped+"&format=json")
+	resp, body = getBody(t, ts, "/debug/requests?trace="+flightTraceID+"&format=json")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("drill-down json status = %d", resp.StatusCode)
 	}
@@ -212,7 +213,7 @@ func TestDebugRequestsEndToEnd(t *testing.T) {
 	if err := json.Unmarshal(body, &one); err != nil {
 		t.Fatal(err)
 	}
-	if one.TraceID != mapped || one.Seq != detectRec.Seq {
+	if one.TraceID != flightTraceID || one.Seq != detectRec.Seq {
 		t.Errorf("drill-down json = %+v, want record %d", one, detectRec.Seq)
 	}
 
@@ -361,48 +362,5 @@ func TestServerDebugHandler(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Errorf("GET %s = %d, want 200", path, resp.StatusCode)
 		}
-	}
-}
-
-// TestTraceIDSanitized: malformed inbound X-Trace-Id headers are replaced
-// with a freshly minted ID instead of flowing into logs and flight records;
-// well-formed legacy tokens are accepted (and mapped onto W3C trace ids by
-// the middleware).
-func TestTraceIDSanitized(t *testing.T) {
-	unit := []struct {
-		in   string
-		keep bool
-	}{
-		{"cafe0123cafe0123", true},
-		{"req-2024.08_06", true},
-		{"a", true},
-		{strings.Repeat("x", 64), true},
-		{"", false},
-		{strings.Repeat("x", 65), false},
-		{"has space", false},
-		{"inject\nline", false},
-		{`quote"val`, false},
-		{"semi;colon", false},
-		{"日本語", false},
-	}
-	for _, tc := range unit {
-		got := legacyTraceToken(tc.in)
-		if tc.keep && got != tc.in {
-			t.Errorf("legacyTraceToken(%q) = %q, want kept", tc.in, got)
-		}
-		if !tc.keep && got != "" {
-			t.Errorf("legacyTraceToken(%q) = %q, want rejected", tc.in, got)
-		}
-	}
-
-	_, ts := newTestServer(t, Config{})
-	tr := sampleTrace(t, 47, 100, 600, 2)
-	resp, _ := doTraced(t, ts, "/v1/detect", "bad header!", DetectRequest{Trace: tr, Beta: 0.3})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d", resp.StatusCode)
-	}
-	minted := resp.Header.Get("X-Trace-Id")
-	if !obs.ValidTraceID(minted) {
-		t.Errorf("malformed inbound header echoed %q, want a fresh 32-hex W3C trace id", minted)
 	}
 }

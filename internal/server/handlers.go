@@ -5,15 +5,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io/fs"
-	"log/slog"
 	"net/http"
-	"sort"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/diffusion"
-	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/profiling"
 	"repro/internal/sgraph"
@@ -65,7 +61,7 @@ type DetectResponse struct {
 	Trees      int               `json:"trees"`
 	Components int               `json:"components"`
 	GraphHash  string            `json:"graph_hash"`
-	Cache      string            `json:"cache"` // "hit" or "miss"
+	Cache      string            `json:"cache"` // "hit", "warm" or "miss"
 	ElapsedMS  float64           `json:"elapsed_ms"`
 	// StageTimings breaks ElapsedMS down by pipeline stage (graph_build,
 	// snapshot, components, arborescence, tree_build, binarize, tree_dp),
@@ -79,7 +75,8 @@ type DetectResponse struct {
 	// DP modes and cell counts. Omitted when the pipeline counted nothing
 	// (e.g. identity-only detectors).
 	Algo *obs.CounterSet `json:"algo_counters,omitempty"`
-	// TraceID echoes the request's X-Trace-Id for log correlation.
+	// TraceID is the request's W3C trace id (as in its traceparent), for
+	// log correlation.
 	TraceID string `json:"trace_id,omitempty"`
 	// Truth is present when the trace carries ground-truth seeds.
 	Truth *TruthReport `json:"truth,omitempty"`
@@ -106,13 +103,6 @@ type SimulateRequest struct {
 	// by the model itself (unknown keys, wrong types and out-of-range
 	// values are 400s with the model's pinned message).
 	Params map[string]any `json:"params,omitempty"`
-	// Alpha is the legacy MFC boosting coefficient (pre-registry schema);
-	// zero defaults to 3. Only valid when the effective model is "mfc",
-	// and must not conflict with a params["alpha"] entry.
-	Alpha float64 `json:"alpha,omitempty"`
-	// DisableFlip is the legacy flag degrading MFC to a signed independent
-	// cascade. Same restrictions as Alpha.
-	DisableFlip bool `json:"disable_flip,omitempty"`
 	// Seed makes the run reproducible; zero defaults to 1.
 	Seed uint64 `json:"seed,omitempty"`
 	// TimeoutMS optionally tightens the per-request deadline.
@@ -136,7 +126,8 @@ type SimulateResponse struct {
 	// Algo carries the run's typed diffusion counters (rounds, attempts,
 	// activations, flips).
 	Algo *obs.CounterSet `json:"algo_counters,omitempty"`
-	// TraceID echoes the request's X-Trace-Id for log correlation.
+	// TraceID is the request's W3C trace id (as in its traceparent), for
+	// log correlation.
 	TraceID string `json:"trace_id,omitempty"`
 }
 
@@ -189,37 +180,6 @@ func writeError(w http.ResponseWriter, err error) {
 	writeJSON(w, statusOf(err), errorResponse{Error: err.Error()})
 }
 
-// resolveGraph returns the built network for a trace and the cache state:
-// "hit" from the LRU, "warm" from the snapshot store (zero-copy views over
-// the persisted CSR file, skipping validation and index sorting), "miss"
-// when it had to be rebuilt from the wire edges. Misses are persisted to
-// the store for the next process. The trace must be pre-validated.
-func (s *Server) resolveGraph(t *trace.Trace) (*sgraph.Graph, string, string, error) {
-	hash := t.NetworkHash()
-	if g, ok := s.cache.Get(hash); ok {
-		s.reg.CountCache(true)
-		return g, hash, "hit", nil
-	}
-	s.reg.CountCache(false)
-	if g, err := s.snapshots.Load(hash); err == nil {
-		s.cache.Put(hash, g)
-		return g, hash, "warm", nil
-	} else if !errors.Is(err, fs.ErrNotExist) {
-		// A corrupt snapshot never reaches serving: the loader rejected it,
-		// and the rebuild below overwrites it with a good one.
-		slog.Warn("server: snapshot load failed; rebuilding", "hash", hash, "err", err)
-	}
-	g, err := t.BuildGraph()
-	if err != nil {
-		return nil, "", "", badRequest("%v", err)
-	}
-	s.cache.Put(hash, g)
-	if err := s.snapshots.Save(hash, g); err != nil {
-		slog.Warn("server: snapshot save failed", "hash", hash, "err", err)
-	}
-	return g, hash, "miss", nil
-}
-
 // handleDetect runs one detection inside the worker pool under the
 // request deadline.
 func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
@@ -230,10 +190,6 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.Trace == nil {
 		writeError(w, badRequest("missing trace"))
-		return
-	}
-	if err := req.Trace.Validate(); err != nil {
-		writeError(w, badRequest("%v", err))
 		return
 	}
 	if req.K < 0 {
@@ -258,96 +214,29 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) detect(ctx context.Context, req *DetectRequest, detector core.Detector) (resp *DetectResponse, err error) {
-	start := time.Now()
-	rec := obs.NewRecorder()
-	ctx = obs.WithRecorder(ctx, rec)
-	if t := obs.TelemetryFrom(ctx); t != nil {
-		t.SetRecorder(rec)
-		t.SetDetail("detector=" + detector.Name())
-	}
-	// Every outcome — including early validation and timeout errors — lands
-	// in the flight recorder with whatever spans and counters the pipeline
-	// managed to record before failing.
-	defer func() {
-		fr := obs.FlightRecord{
-			TraceID:   obs.TraceID(ctx),
-			Route:     "/v1/detect",
-			Detail:    "detector=" + detector.Name(),
-			Start:     start,
-			ElapsedMS: float64(time.Since(start)) / float64(time.Millisecond),
-			Status:    statusOf(err),
-			Stages:    rec.StageViews(),
-			Algo:      rec.CounterSetSnapshot(),
-		}
-		if err != nil {
-			fr.Error = err.Error()
-		}
-		s.recordFlight(fr)
-	}()
-	span := obs.Stage(ctx, obs.StageGraphBuild)
-	g, hash, cacheState, err := s.resolveGraph(req.Trace)
-	span.End()
+	sc := s.begin(ctx, "/v1/detect", "detect."+detector.Name(), "detector="+detector.Name())
+	defer func() { sc.end(err) }()
+	g, hash, cacheState, err := s.resolveGraph(sc.ctx, req.Trace, "")
 	if err != nil {
 		return nil, err
 	}
-	span = obs.Stage(ctx, obs.StageSnapshot)
-	snap, err := req.Trace.SnapshotOn(g)
-	span.End()
-	if err != nil {
-		return nil, badRequest("%v", err)
-	}
-	det, err := core.DetectWithContext(ctx, detector, snap)
+	item, err := detectObservation(sc.ctx, req.Trace.Observation(), g, detector, req.K)
 	if err != nil {
 		return nil, err
 	}
-	s.reg.MergeRecorder(rec)
-	resp = &DetectResponse{
+	return &DetectResponse{
 		Detector:     detector.Name(),
-		Initiators:   rankInitiators(det, req.K),
-		Trees:        det.Trees,
-		Components:   det.Components,
+		Initiators:   item.Initiators,
+		Trees:        item.Trees,
+		Components:   item.Components,
 		GraphHash:    hash,
 		Cache:        cacheState,
-		ElapsedMS:    float64(time.Since(start)) / float64(time.Millisecond),
-		StageTimings: rec.StageMillis(),
-		Algo:         rec.CounterSetSnapshot(),
-		TraceID:      obs.TraceID(ctx),
-	}
-	if seeds, _, err := req.Trace.GroundTruth(); err == nil && len(seeds) > 0 {
-		detected := make([]int, len(resp.Initiators))
-		for i, ri := range resp.Initiators {
-			detected[i] = ri.Node
-		}
-		id := metrics.EvalIdentity(detected, seeds)
-		resp.Truth = &TruthReport{Precision: id.Precision, Recall: id.Recall, F1: id.F1}
-	}
-	s.reg.Observe("detect."+detector.Name(), time.Since(start))
-	return resp, nil
-}
-
-// rankInitiators orders a detection by descending confidence (ties and
-// unscored detectors by ascending node ID) and truncates to k when k > 0.
-func rankInitiators(det *core.Detection, k int) []RankedInitiator {
-	out := make([]RankedInitiator, len(det.Initiators))
-	for i, v := range det.Initiators {
-		out[i] = RankedInitiator{Node: v}
-		if det.States != nil {
-			out[i].State = int8(det.States[i])
-		}
-		if det.Confidence != nil {
-			out[i].Score = det.Confidence[i]
-		}
-	}
-	sort.SliceStable(out, func(a, b int) bool {
-		if out[a].Score != out[b].Score {
-			return out[a].Score > out[b].Score
-		}
-		return out[a].Node < out[b].Node
-	})
-	if k > 0 && k < len(out) {
-		out = out[:k]
-	}
-	return out
+		ElapsedMS:    millis(time.Since(sc.start)),
+		StageTimings: sc.rec.StageMillis(),
+		Algo:         item.Algo,
+		TraceID:      obs.TraceID(sc.ctx),
+		Truth:        item.Truth,
+	}, nil
 }
 
 // handleSimulate runs one diffusion cascade inside the worker pool,
@@ -357,16 +246,6 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	if err := decodeBody(w, r, &req, s.cfg.MaxBodyBytes); err != nil {
 		writeError(w, err)
 		return
-	}
-	if (req.Trace == nil) == (req.GraphHash == "") {
-		writeError(w, badRequest("exactly one of trace or graph_hash is required"))
-		return
-	}
-	if req.Trace != nil {
-		if err := req.Trace.Validate(); err != nil {
-			writeError(w, badRequest("%v", err))
-			return
-		}
 	}
 	if len(req.Initiators) == 0 {
 		writeError(w, badRequest("missing initiators"))
@@ -382,47 +261,15 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) simulate(ctx context.Context, req *SimulateRequest) (resp *SimulateResponse, err error) {
-	start := time.Now()
 	name := req.Model
 	if name == "" {
 		name = "mfc"
 	}
-	var cs obs.CounterSet
-	defer func() {
-		fr := obs.FlightRecord{
-			TraceID:   obs.TraceID(ctx),
-			Route:     "/v1/simulate",
-			Detail:    "model=" + name,
-			Start:     start,
-			ElapsedMS: float64(time.Since(start)) / float64(time.Millisecond),
-			Status:    statusOf(err),
-		}
-		if !cs.Zero() {
-			algo := cs
-			fr.Algo = &algo
-		}
-		if err != nil {
-			fr.Error = err.Error()
-		}
-		s.recordFlight(fr)
-	}()
-	var (
-		g          *sgraph.Graph
-		hash       string
-		cacheState string
-	)
-	if req.Trace != nil {
-		var err error
-		g, hash, cacheState, err = s.resolveGraph(req.Trace)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		hash = req.GraphHash
-		g, cacheState, err = s.lookupGraph(req.GraphHash)
-		if err != nil {
-			return nil, err
-		}
+	sc := s.begin(ctx, "/v1/simulate", "simulate."+name, "model="+name)
+	defer func() { sc.end(err) }()
+	g, hash, cacheState, err := s.resolveGraph(sc.ctx, req.Trace, req.GraphHash)
+	if err != nil {
+		return nil, err
 	}
 	states := make([]sgraph.State, len(req.Initiators))
 	for i := range states {
@@ -441,33 +288,10 @@ func (s *Server) simulate(ctx context.Context, req *SimulateRequest) (resp *Simu
 	if err != nil {
 		return nil, badRequest("%v", err)
 	}
-	params := make(diffusion.Params, len(req.Params)+2)
-	for k, v := range req.Params {
-		params[k] = v
-	}
-	// Legacy pre-registry schema: top-level alpha / disable_flip map onto
-	// the mfc model's params of the same name.
-	if req.Alpha != 0 {
-		if name != "mfc" {
-			return nil, badRequest("legacy field %q requires model %q (got %q)", "alpha", "mfc", name)
-		}
-		if _, dup := params["alpha"]; dup {
-			return nil, badRequest("legacy field %q conflicts with params key %q", "alpha", "alpha")
-		}
-		params["alpha"] = req.Alpha
-	}
-	if req.DisableFlip {
-		if name != "mfc" {
-			return nil, badRequest("legacy field %q requires model %q (got %q)", "disable_flip", "mfc", name)
-		}
-		if _, dup := params["disable_flip"]; dup {
-			return nil, badRequest("legacy field %q conflicts with params key %q", "disable_flip", "disable_flip")
-		}
-		params["disable_flip"] = true
-	}
-	if err := model.Validate(params); err != nil {
+	if err := model.Validate(req.Params); err != nil {
 		return nil, badRequest("%v", err)
 	}
+	var cs obs.CounterSet
 	if cr, ok := model.(diffusion.CounterRecorder); ok {
 		cr.SetCounters(&cs)
 	}
@@ -476,19 +300,14 @@ func (s *Server) simulate(ctx context.Context, req *SimulateRequest) (resp *Simu
 		seed = 1
 	}
 	var c *diffusion.Cascade
-	profiling.Do(ctx, func(context.Context) {
+	profiling.Do(sc.ctx, func(ctx context.Context) {
+		span := obs.Stage(ctx, obs.StageDiffusion)
 		c, err = model.Run(g, req.Initiators, states, xrand.New(seed))
-	}, profiling.LabelModel, name, profiling.LabelStage, "diffusion")
+		span.End()
+	}, profiling.LabelModel, name)
+	sc.rec.MergeCounterSet(&cs)
 	if err != nil {
 		return nil, badRequest("%v", err)
-	}
-	s.reg.MergeCounterSet(&cs)
-	if t := obs.TelemetryFrom(ctx); t != nil && !cs.Zero() {
-		// Simulation records flat counters rather than stages; fold them
-		// into a recorder so the exported span still carries algo.*.
-		expRec := obs.NewRecorder()
-		expRec.MergeCounterSet(&cs)
-		t.SetRecorder(expRec)
 	}
 	resp = &SimulateResponse{
 		Model:       name,
@@ -499,12 +318,9 @@ func (s *Server) simulate(ctx context.Context, req *SimulateRequest) (resp *Simu
 		Observed:    make([]int8, len(c.States)),
 		GraphHash:   hash,
 		Cache:       cacheState,
-		ElapsedMS:   float64(time.Since(start)) / float64(time.Millisecond),
-		TraceID:     obs.TraceID(ctx),
-	}
-	if !cs.Zero() {
-		algo := cs
-		resp.Algo = &algo
+		ElapsedMS:   millis(time.Since(sc.start)),
+		Algo:        sc.rec.CounterSetSnapshot(),
+		TraceID:     obs.TraceID(sc.ctx),
 	}
 	for v, st := range c.States {
 		resp.Observed[v] = int8(st)
@@ -515,7 +331,6 @@ func (s *Server) simulate(ctx context.Context, req *SimulateRequest) (resp *Simu
 			resp.Negative++
 		}
 	}
-	s.reg.Observe("simulate."+name, time.Since(start))
 	return resp, nil
 }
 

@@ -187,18 +187,6 @@ func (r *Registry) MergeRecorder(rec *obs.Recorder) {
 	r.mu.Unlock()
 }
 
-// MergeCounterSet folds a typed algorithm-counter batch into the
-// registry's cumulative set directly — for endpoints (simulate) that count
-// kernel work without carrying a full pipeline Recorder.
-func (r *Registry) MergeCounterSet(cs *obs.CounterSet) {
-	if cs == nil || cs.Zero() {
-		return
-	}
-	r.mu.Lock()
-	r.algo.Merge(cs)
-	r.mu.Unlock()
-}
-
 // stagePrefix marks latency labels that hold pipeline-stage histograms
 // rather than route/detector latencies.
 const stagePrefix = "stage."

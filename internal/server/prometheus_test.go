@@ -213,7 +213,7 @@ func TestMetricsPrometheusEndpoint(t *testing.T) {
 // TestDetectStageTimingsAndTraceID asserts the detect response's stage
 // breakdown is present, disjoint (sums to at most the reported elapsed
 // time) and correlated to the response's trace ID, which honors an
-// inbound X-Trace-Id.
+// inbound traceparent.
 func TestDetectStageTimingsAndTraceID(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	tr := sampleTrace(t, 22, 200, 1200, 4)
@@ -226,7 +226,8 @@ func TestDetectStageTimingsAndTraceID(t *testing.T) {
 		t.Fatal(err)
 	}
 	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("X-Trace-Id", "cafe0123cafe0123")
+	const inbound = "4bf92f3577b34da6a3ce929d0e0e4736"
+	req.Header.Set("traceparent", "00-"+inbound+"-00f067aa0ba902b7-01")
 	resp, err := ts.Client().Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -235,18 +236,15 @@ func TestDetectStageTimingsAndTraceID(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d", resp.StatusCode)
 	}
-	// A legacy 16-hex X-Trace-Id is mapped deterministically onto a valid
-	// 32-hex W3C trace id (it cannot round-trip into traceparent as-is).
-	mapped := obs.TraceIDFromLegacy("cafe0123cafe0123")
-	if got := resp.Header.Get("X-Trace-Id"); got != mapped {
-		t.Errorf("X-Trace-Id = %q, want the inbound ID mapped to %q", got, mapped)
+	if tc, err := obs.ParseTraceparent(resp.Header.Get("traceparent")); err != nil || tc.TraceID != inbound {
+		t.Errorf("response traceparent %q (%v), want trace id %q", resp.Header.Get("traceparent"), err, inbound)
 	}
 	var det DetectResponse
 	if err := json.NewDecoder(resp.Body).Decode(&det); err != nil {
 		t.Fatal(err)
 	}
-	if det.TraceID != mapped {
-		t.Errorf("trace_id = %q, want the request's (%q)", det.TraceID, mapped)
+	if det.TraceID != inbound {
+		t.Errorf("trace_id = %q, want the request's (%q)", det.TraceID, inbound)
 	}
 	if len(det.StageTimings) == 0 {
 		t.Fatal("no stage_timings in response")
@@ -272,9 +270,15 @@ func TestDetectStageTimingsAndTraceID(t *testing.T) {
 	if resp2.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d, body %s", resp2.StatusCode, body)
 	}
-	minted := resp2.Header.Get("X-Trace-Id")
-	if !obs.ValidTraceID(minted) {
-		t.Errorf("minted trace ID %q, want 32 lowercase hex chars", minted)
+	var det2 DetectResponse
+	if err := json.Unmarshal(body, &det2); err != nil {
+		t.Fatal(err)
+	}
+	if !obs.ValidTraceID(det2.TraceID) {
+		t.Errorf("minted trace ID %q, want 32 lowercase hex chars", det2.TraceID)
+	}
+	if tc, err := obs.ParseTraceparent(resp2.Header.Get("traceparent")); err != nil || tc.TraceID != det2.TraceID {
+		t.Errorf("response traceparent %q (%v), want trace id %q", resp2.Header.Get("traceparent"), err, det2.TraceID)
 	}
 }
 

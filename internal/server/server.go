@@ -238,12 +238,12 @@ func (r *statusRecorder) WriteHeader(status int) {
 }
 
 // instrument wraps a handler with request counting, route latency, W3C
-// trace-context propagation (inbound traceparent honored, legacy
-// X-Trace-Id mapped onto a deterministic valid trace id, responses carry
-// both headers), SLO accounting, tail-sampled OTLP span export, and a
-// structured access log. The trace context and a mutable telemetry slot
-// travel via context so handlers hand their pipeline Recorder and span
-// links back up for export after the response is written.
+// trace-context propagation (inbound traceparent honored, the response
+// carries this hop's traceparent), SLO accounting, tail-sampled OTLP span
+// export, and a structured access log. The trace context and a mutable
+// telemetry slot travel via context so handlers hand their pipeline
+// Recorder and span links back up for export after the response is
+// written.
 func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
@@ -252,11 +252,9 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 		ctx = obs.WithTraceID(ctx, tc.TraceID)
 		slot := &obs.Telemetry{}
 		ctx = obs.WithTelemetry(ctx, slot)
-		// Response headers go out before the handler writes: the caller
-		// gets this hop's span id as its parent for any follow-up, and the
-		// legacy header keeps pre-W3C clients correlating.
+		// The header goes out before the handler writes: the caller gets
+		// this hop's span id as its parent for any follow-up.
 		w.Header().Set("traceparent", tc.Traceparent())
-		w.Header().Set("X-Trace-Id", tc.TraceID)
 		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
 		// The whole handler — JSON decode and encode included, not just the
 		// pooled compute — runs under the route pprof label, so nearly every
@@ -303,12 +301,11 @@ func (s *Server) recordFlight(fr obs.FlightRecord) {
 	s.flight.Record(fr)
 }
 
-// inboundTrace resolves the request's trace context, preferring a W3C
-// traceparent (malformed tracestate is dropped without invalidating it,
-// per spec), then a legacy X-Trace-Id mapped deterministically onto a
-// valid trace id, then a freshly minted root. In every case this process
-// mints its own span id; the remote parent's span id is returned
-// separately for the exported span's parentSpanId. The sampled flag ORs in
+// inboundTrace resolves the request's trace context: a W3C traceparent
+// (malformed tracestate is dropped without invalidating it, per spec), or
+// else a freshly minted root. In every case this process mints its own
+// span id; the remote parent's span id is returned separately for the
+// exported span's parentSpanId. The sampled flag ORs in
 // the exporter's deterministic head-sampling decision so the flag the
 // caller reads back agrees with what the fleet actually exports.
 func (s *Server) inboundTrace(r *http.Request) (obs.TraceContext, string) {
@@ -320,8 +317,6 @@ func (s *Server) inboundTrace(r *http.Request) (obs.TraceContext, string) {
 		if ts, err := obs.ParseTraceState(r.Header.Get("tracestate")); err == nil {
 			tc.TraceState = ts
 		}
-	} else if legacy := legacyTraceToken(r.Header.Get("X-Trace-Id")); legacy != "" {
-		tc = obs.TraceContext{TraceID: obs.TraceIDFromLegacy(legacy), Flags: obs.FlagSampled}
 	} else {
 		tc = obs.NewTraceContext()
 	}
@@ -330,25 +325,6 @@ func (s *Server) inboundTrace(r *http.Request) (obs.TraceContext, string) {
 		tc.Flags |= obs.FlagSampled
 	}
 	return tc, parentSpanID
-}
-
-// legacyTraceToken accepts a pre-W3C client trace token only when it is
-// 1–64 bytes of [0-9A-Za-z._-]; anything else (empty, oversized, control
-// characters, log-injection attempts) returns "". The accepted alphabet is
-// safe verbatim in logs, HTML, URLs and Prometheus label values.
-func legacyTraceToken(id string) string {
-	if len(id) == 0 || len(id) > 64 {
-		return ""
-	}
-	for i := 0; i < len(id); i++ {
-		switch c := id[i]; {
-		case c >= '0' && c <= '9', c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z',
-			c == '.', c == '_', c == '-':
-		default:
-			return ""
-		}
-	}
-	return id
 }
 
 // poolResult is what a pooled job hands back to its waiting handler.

@@ -12,7 +12,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/ingest"
 	"repro/internal/obs"
-	"repro/internal/sgraph"
 	"repro/internal/trace"
 )
 
@@ -37,7 +36,7 @@ type SessionResponse struct {
 	SessionID string `json:"session_id"`
 	GraphHash string `json:"graph_hash"`
 	Nodes     int    `json:"nodes"`
-	Cache     string `json:"cache"` // "hit" or "miss"
+	Cache     string `json:"cache"` // "hit", "warm" or "miss"
 }
 
 // EventsRequest is the POST /v1/sessions/{id}/events payload: a batch of
@@ -88,41 +87,16 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	if (req.Trace == nil) == (req.GraphHash == "") {
-		writeError(w, badRequest("exactly one of trace or graph_hash is required"))
+	g, hash, cacheState, err := s.resolveGraph(r.Context(), req.Trace, req.GraphHash)
+	if err != nil {
+		writeError(w, err)
 		return
-	}
-	var (
-		g          *graphAndHash
-		cacheState string
-	)
-	if req.Trace != nil {
-		if err := req.Trace.Validate(); err != nil {
-			writeError(w, badRequest("%v", err))
-			return
-		}
-		built, hash, state, err := s.resolveGraph(req.Trace)
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		g, cacheState = &graphAndHash{g: built, hash: hash}, state
-	} else {
-		built, ok := s.cache.Get(req.GraphHash)
-		if !ok {
-			s.reg.CountCache(false)
-			writeError(w, &httpError{status: http.StatusNotFound,
-				msg: fmt.Sprintf("graph %s not cached; resubmit the trace", req.GraphHash)})
-			return
-		}
-		s.reg.CountCache(true)
-		g, cacheState = &graphAndHash{g: built, hash: req.GraphHash}, "hit"
 	}
 	beta := req.Beta
 	if beta == 0 {
 		beta = 0.3
 	}
-	sess, err := ingest.NewSession(g.g, g.hash, core.RIDConfig{
+	sess, err := ingest.NewSession(g, hash, core.RIDConfig{
 		Alpha: req.Alpha, Beta: beta, Parallelism: s.cfg.Parallelism,
 	})
 	if err != nil {
@@ -148,15 +122,10 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, http.StatusOK, SessionResponse{
 		SessionID: id,
-		GraphHash: g.hash,
+		GraphHash: hash,
 		Nodes:     sess.Nodes(),
 		Cache:     cacheState,
 	})
-}
-
-type graphAndHash struct {
-	g    *sgraph.Graph
-	hash string
 }
 
 // handleSessionEvents applies a batch of events. Application is a few map
@@ -178,39 +147,22 @@ func (s *Server) handleSessionEvents(w http.ResponseWriter, r *http.Request) {
 		writeError(w, badRequest("missing events"))
 		return
 	}
-	start := time.Now()
-	rec := obs.NewRecorder()
-	ctx := obs.WithRecorder(r.Context(), rec)
-	applied, applyErr := sess.Apply(ctx, req.Events)
-	if t := obs.TelemetryFrom(ctx); t != nil {
-		t.SetRecorder(rec)
-		t.SetDetail(fmt.Sprintf("events=%d applied=%d", len(req.Events), applied))
-	}
-	s.reg.MergeRecorder(rec)
-	fr := obs.FlightRecord{
-		TraceID:   obs.TraceID(ctx),
-		Route:     "/v1/sessions/events",
-		Detail:    fmt.Sprintf("events=%d applied=%d", len(req.Events), applied),
-		Start:     start,
-		ElapsedMS: float64(time.Since(start)) / float64(time.Millisecond),
-		Status:    http.StatusOK,
-		Algo:      rec.CounterSetSnapshot(),
-	}
+	sc := s.begin(r.Context(), "/v1/sessions/events", "", "")
+	applied, err := sess.Apply(sc.ctx, req.Events)
+	sc.setDetail(fmt.Sprintf("events=%d applied=%d", len(req.Events), applied))
 	resp := EventsResponse{
 		Applied:     applied,
 		EventsTotal: sess.Events(),
 		Infected:    sess.InfectedCount(),
-		TraceID:     obs.TraceID(ctx),
+		TraceID:     obs.TraceID(sc.ctx),
 	}
-	status := http.StatusOK
-	if applyErr != nil {
-		status = http.StatusBadRequest
-		resp.Error = applyErr.Error()
-		fr.Status = status
-		fr.Error = applyErr.Error()
+	if err != nil {
+		resp.Error = err.Error()
+		err = badRequest("%v", err)
 	}
-	s.recordFlight(fr)
-	writeJSON(w, status, resp)
+	sc.kept = true
+	sc.end(err)
+	writeJSON(w, statusOf(err), resp)
 }
 
 // handleSessionDetect runs incremental detection inside the worker pool
@@ -238,41 +190,20 @@ func (s *Server) handleSessionDetect(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) sessionDetect(ctx context.Context, sess *ingest.Session, k int) (resp *SessionDetectResponse, err error) {
-	start := time.Now()
-	rec := obs.NewRecorder()
-	ctx = obs.WithRecorder(ctx, rec)
-	telem := obs.TelemetryFrom(ctx)
-	telem.SetRecorder(rec)
-	var stats ingest.DetectStats
-	defer func() {
-		fr := obs.FlightRecord{
-			TraceID:   obs.TraceID(ctx),
-			Route:     "/v1/sessions/detect",
-			Detail:    fmt.Sprintf("dirty=%d reused=%d", stats.Dirty, stats.Reused),
-			Start:     start,
-			ElapsedMS: float64(time.Since(start)) / float64(time.Millisecond),
-			Status:    statusOf(err),
-			Stages:    rec.StageViews(),
-			Algo:      rec.CounterSetSnapshot(),
-		}
-		if err != nil {
-			fr.Error = err.Error()
-		}
-		s.recordFlight(fr)
-	}()
-	det, stats, err := sess.Detect(ctx)
+	sc := s.begin(ctx, "/v1/sessions/detect", "detect.session", "")
+	defer func() { sc.end(err) }()
+	det, stats, err := sess.Detect(sc.ctx)
+	sc.setDetail(fmt.Sprintf("dirty=%d reused=%d", stats.Dirty, stats.Reused))
 	if errors.Is(err, cascade.ErrNoInfected) {
 		return nil, badRequest("session has no infected nodes yet; apply events first")
 	}
 	if err != nil {
 		return nil, err
 	}
-	telem.SetDetail(fmt.Sprintf("dirty=%d reused=%d", stats.Dirty, stats.Reused))
 	// Link the detect span to the session root and the event batches that
 	// dirtied the components it just re-solved.
-	telem.AddLinks(stats.Links...)
-	s.reg.MergeRecorder(rec)
-	resp = &SessionDetectResponse{
+	sc.telem.AddLinks(stats.Links...)
+	return &SessionDetectResponse{
 		Detector:     "RID(incremental)",
 		Initiators:   rankInitiators(det, k),
 		Trees:        det.Trees,
@@ -280,13 +211,11 @@ func (s *Server) sessionDetect(ctx context.Context, sess *ingest.Session, k int)
 		Dirty:        stats.Dirty,
 		Reused:       stats.Reused,
 		GraphHash:    sess.GraphHash(),
-		ElapsedMS:    float64(time.Since(start)) / float64(time.Millisecond),
-		StageTimings: rec.StageMillis(),
-		Algo:         rec.CounterSetSnapshot(),
-		TraceID:      obs.TraceID(ctx),
-	}
-	s.reg.Observe("detect.session", time.Since(start))
-	return resp, nil
+		ElapsedMS:    millis(time.Since(sc.start)),
+		StageTimings: sc.rec.StageMillis(),
+		Algo:         sc.rec.CounterSetSnapshot(),
+		TraceID:      obs.TraceID(sc.ctx),
+	}, nil
 }
 
 // handleSessionDelete closes a session early (sessions also expire on

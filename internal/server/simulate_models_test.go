@@ -88,7 +88,7 @@ func TestSimulatePinnedErrors(t *testing.T) {
 
 	cases := []struct {
 		name string
-		req  SimulateRequest
+		req  any
 		want string
 	}{
 		{
@@ -122,19 +122,9 @@ func TestSimulatePinnedErrors(t *testing.T) {
 			want: `diffusion: invalid model coefficient: LTFF Bias must be >= 1, got 0.5`,
 		},
 		{
-			name: "legacy alpha on non-mfc model",
-			req:  SimulateRequest{Trace: tr, Initiators: []int{0}, Model: "sir", Alpha: 2},
-			want: `legacy field "alpha" requires model "mfc" (got "sir")`,
-		},
-		{
-			name: "legacy disable_flip on non-mfc model",
-			req:  SimulateRequest{Trace: tr, Initiators: []int{0}, Model: "voter", DisableFlip: true},
-			want: `legacy field "disable_flip" requires model "mfc" (got "voter")`,
-		},
-		{
-			name: "legacy alpha conflicts with params",
-			req:  SimulateRequest{Trace: tr, Initiators: []int{0}, Alpha: 2, Params: map[string]any{"alpha": 3}},
-			want: `legacy field "alpha" conflicts with params key "alpha"`,
+			name: "top-level alpha",
+			req:  map[string]any{"trace": tr, "initiators": []int{0}, "alpha": 2},
+			want: `invalid JSON: json: unknown field "alpha"`,
 		},
 	}
 	for _, tc := range cases {
@@ -153,38 +143,31 @@ func TestSimulatePinnedErrors(t *testing.T) {
 	}
 }
 
-// TestSimulateLegacyMFCRequests checks the pre-registry request schema
-// still runs unchanged: no model field plus top-level alpha/disable_flip
-// behaves exactly like the explicit mfc params spelling.
-func TestSimulateLegacyMFCRequests(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+// TestSimulateFlightRecordStages checks a simulate request's flight
+// record carries its graph resolution and diffusion run as stages, next to
+// the model's counters.
+func TestSimulateFlightRecordStages(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
 	tr := sampleTrace(t, 14, 150, 900, 3)
-
-	var legacy, modern SimulateResponse
-	resp, body := postJSON(t, ts, "/v1/simulate", SimulateRequest{
-		Trace: tr, Initiators: []int{0, 3}, Alpha: 2.5, DisableFlip: true, Seed: 21,
-	})
+	resp, body := postJSON(t, ts, "/v1/simulate", SimulateRequest{Trace: tr, Initiators: []int{0, 3}, Model: "sir", Seed: 21})
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("legacy request: status = %d, body %s", resp.StatusCode, body)
+		t.Fatalf("status = %d, body %s", resp.StatusCode, body)
 	}
-	if err := json.Unmarshal(body, &legacy); err != nil {
-		t.Fatal(err)
+	recs := s.Flight().Snapshot()
+	if len(recs) != 1 || recs[0].Route != "/v1/simulate" {
+		t.Fatalf("flight records = %+v, want the one simulate", recs)
 	}
-	if legacy.Model != "mfc" {
-		t.Errorf("legacy request model = %q, want mfc", legacy.Model)
+	fr := recs[0]
+	if fr.Detail != "model=sir" {
+		t.Errorf("detail = %q, want model=sir", fr.Detail)
 	}
-	resp, body = postJSON(t, ts, "/v1/simulate", SimulateRequest{
-		Trace: tr, Initiators: []int{0, 3}, Model: "mfc",
-		Params: map[string]any{"alpha": 2.5, "disable_flip": true}, Seed: 21,
-	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("modern request: status = %d, body %s", resp.StatusCode, body)
+	for _, stage := range []string{"graph_build", "diffusion"} {
+		if fr.Stages[stage].Count != 1 {
+			t.Errorf("stage %q count = %d, want 1 (stages %+v)", stage, fr.Stages[stage].Count, fr.Stages)
+		}
 	}
-	if err := json.Unmarshal(body, &modern); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(legacy.Observed, modern.Observed) || legacy.Rounds != modern.Rounds {
-		t.Error("legacy alpha/disable_flip request diverged from the equivalent params spelling")
+	if fr.Algo == nil || fr.Algo.Diffusion.Runs != 1 {
+		t.Errorf("algo = %+v, want one diffusion run", fr.Algo)
 	}
 }
 

@@ -75,6 +75,32 @@ func TestSnapshotStoreWarmRestart(t *testing.T) {
 	}
 }
 
+// TestSessionByHashWarmRestart checks a session opened by graph_hash
+// resolves its network like every other route: after a restart the graph
+// comes back from the snapshot store ("warm") rather than a 404.
+func TestSessionByHashWarmRestart(t *testing.T) {
+	store, err := NewSnapshotStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := sampleTrace(t, 23, 200, 1200, 4)
+	_, ts1 := newTestServer(t, Config{Snapshots: store})
+	hash := jsonDetect(t, ts1, tr).GraphHash
+
+	_, ts2 := newTestServer(t, Config{Snapshots: store})
+	resp, body := postJSON(t, ts2, "/v1/sessions", SessionRequest{GraphHash: hash})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("session by hash after restart: status = %d, body %s", resp.StatusCode, body)
+	}
+	var sr SessionResponse
+	if err := json.Unmarshal(body, &sr); err != nil {
+		t.Fatal(err)
+	}
+	if sr.Cache != "warm" || sr.GraphHash != hash || sr.Nodes != tr.Nodes {
+		t.Fatalf("session = %+v, want cache warm on graph %s with %d nodes", sr, hash, tr.Nodes)
+	}
+}
+
 // TestSnapshotStoreCorruptFallsBack corrupts the persisted snapshot and
 // checks the server silently rebuilds from the trace (cache state "miss",
 // identical results) and rewrites a good snapshot — a bad file is never

@@ -165,7 +165,8 @@ func TestTracePropagationEndToEnd(t *testing.T) {
 		t.Fatalf("detect: %d %s", resp.StatusCode, body)
 	}
 
-	// Response headers: same trace, this hop's own span id, legacy echo.
+	// Response headers: same trace, this hop's own span id, and no
+	// retired X-Trace-Id echo.
 	echoed, err := obs.ParseTraceparent(resp.Header.Get("traceparent"))
 	if err != nil {
 		t.Fatalf("response traceparent %q invalid: %v", resp.Header.Get("traceparent"), err)
@@ -179,8 +180,8 @@ func TestTracePropagationEndToEnd(t *testing.T) {
 	if !echoed.Sampled() {
 		t.Fatal("sampled inbound trace at ratio 1 must stay sampled")
 	}
-	if got := resp.Header.Get("X-Trace-Id"); got != inboundTraceID {
-		t.Fatalf("X-Trace-Id %q, want %q", got, inboundTraceID)
+	if got := resp.Header.Get("X-Trace-Id"); got != "" {
+		t.Fatalf("X-Trace-Id %q echoed, want no legacy header", got)
 	}
 
 	if err := exp.Close(); err != nil {
@@ -231,42 +232,6 @@ func TestTracePropagationEndToEnd(t *testing.T) {
 	}
 	if stages == 0 {
 		t.Error("no stage child spans under the detect root")
-	}
-}
-
-// TestTraceLegacyHeaderExport maps an X-Trace-Id request onto the
-// deterministic trace id in both headers and the exported span.
-func TestTraceLegacyHeaderExport(t *testing.T) {
-	ts, exp, path := newTracedServer(t, 1)
-	tr := sampleTrace(t, 12, 150, 700, 3)
-	mapped := obs.TraceIDFromLegacy("legacy-client-7")
-
-	resp, body := postTraced(t, ts, "/v1/detect",
-		DetectRequest{Trace: tr, Beta: 0.3},
-		map[string]string{"X-Trace-Id": "legacy-client-7"})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("detect: %d %s", resp.StatusCode, body)
-	}
-	if got := resp.Header.Get("X-Trace-Id"); got != mapped {
-		t.Fatalf("X-Trace-Id %q, want mapped %q", got, mapped)
-	}
-	echoed, err := obs.ParseTraceparent(resp.Header.Get("traceparent"))
-	if err != nil || echoed.TraceID != mapped {
-		t.Fatalf("traceparent %q (%v), want trace %q", resp.Header.Get("traceparent"), err, mapped)
-	}
-
-	if err := exp.Close(); err != nil {
-		t.Fatal(err)
-	}
-	root := findSpan(readCapture(t, path), "detect")
-	if root == nil {
-		t.Fatal("no detect span in capture")
-	}
-	if root.TraceID != mapped {
-		t.Fatalf("exported trace %q, want %q", root.TraceID, mapped)
-	}
-	if root.ParentSpanID != "" {
-		t.Fatalf("legacy requests have no remote parent, got %q", root.ParentSpanID)
 	}
 }
 

@@ -22,7 +22,8 @@ type Observation struct {
 	SeedStates []int8 `json:"seed_states,omitempty"`
 }
 
-// FromTrace extracts the observation carried by a full trace.
+// Observation views the observation carried by a full trace; the slices
+// are shared, not copied.
 func (t *Trace) Observation() *Observation {
 	return &Observation{
 		Name:       t.Name,
@@ -49,9 +50,9 @@ func (o *Observation) Trace(network *Trace) *Trace {
 	}
 }
 
-// Validate checks the observation against a graph of the given node count,
-// with the same checks and error wording Trace.Validate applies to the
-// observational fields.
+// Validate checks the observation against a graph of the given node count:
+// aligned slices, state codes, rounds and ground truth. Trace.Validate
+// applies it to a trace's observational fields.
 func (o *Observation) Validate(nodes int) error {
 	if len(o.Observed) != nodes {
 		return fmt.Errorf("trace: %d observed states for %d nodes", len(o.Observed), nodes)
@@ -97,6 +98,23 @@ func (o *Observation) SnapshotOn(g *sgraph.Graph) (*cascade.Snapshot, error) {
 	if g.NumNodes() != len(o.Observed) {
 		return nil, fmt.Errorf("trace: graph has %d nodes, observation %d", g.NumNodes(), len(o.Observed))
 	}
+	return o.snapshot(g)
+}
+
+// snapshot binds the decoded observed states (and rounds, if any) to g.
+func (o *Observation) snapshot(g *sgraph.Graph) (*cascade.Snapshot, error) {
+	states, err := o.states()
+	if err != nil {
+		return nil, err
+	}
+	if o.Rounds != nil {
+		return cascade.NewSnapshotWithRounds(g, states, o.Rounds)
+	}
+	return cascade.NewSnapshot(g, states)
+}
+
+// states decodes the observed state codes.
+func (o *Observation) states() ([]sgraph.State, error) {
 	states := make([]sgraph.State, len(o.Observed))
 	for i, c := range o.Observed {
 		s, err := codeToState(c)
@@ -105,14 +123,10 @@ func (o *Observation) SnapshotOn(g *sgraph.Graph) (*cascade.Snapshot, error) {
 		}
 		states[i] = s
 	}
-	if o.Rounds != nil {
-		return cascade.NewSnapshotWithRounds(g, states, o.Rounds)
-	}
-	return cascade.NewSnapshot(g, states)
+	return states, nil
 }
 
-// GroundTruth decodes the seed set and states, or nil if absent, with
-// Trace.GroundTruth semantics.
+// GroundTruth decodes the seed set and states, or nil if absent.
 func (o *Observation) GroundTruth() ([]int, []sgraph.State, error) {
 	if len(o.Seeds) == 0 {
 		return nil, nil, nil

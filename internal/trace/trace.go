@@ -106,9 +106,10 @@ func FromSnapshot(name string, snap *cascade.Snapshot, seeds []int, seedStates [
 // Validate checks the instance for structural defects a decoder can detect
 // without building anything: wrong version, misaligned slices, out-of-range
 // state codes, out-of-range / self-loop / duplicate edges, bad signs or
-// weights, and malformed ground truth. It returns a descriptive error for
-// the first defect found, so transport layers (the HTTP server's 400
-// responses, CLI replay) can reject bad payloads instead of panicking
+// weights, and malformed ground truth. The observational fields are checked
+// first, by Observation.Validate, then the edges. It returns a descriptive
+// error for the first defect found, so transport layers (the HTTP server's
+// 400 responses, CLI replay) can reject bad payloads instead of panicking
 // downstream.
 func (t *Trace) Validate() error {
 	if t.Version != Version {
@@ -117,21 +118,8 @@ func (t *Trace) Validate() error {
 	if t.Nodes < 0 {
 		return fmt.Errorf("trace: negative node count %d", t.Nodes)
 	}
-	if len(t.Observed) != t.Nodes {
-		return fmt.Errorf("trace: %d observed states for %d nodes", len(t.Observed), t.Nodes)
-	}
-	for i, c := range t.Observed {
-		if _, err := codeToState(c); err != nil {
-			return fmt.Errorf("trace: observed[%d]: invalid state code %d (want +1, -1, 0 or %d)", i, c, unknownCode)
-		}
-	}
-	if t.Rounds != nil && len(t.Rounds) != t.Nodes {
-		return fmt.Errorf("trace: %d rounds for %d nodes", len(t.Rounds), t.Nodes)
-	}
-	for i, r := range t.Rounds {
-		if r < -1 {
-			return fmt.Errorf("trace: rounds[%d]: invalid round %d (want -1 or >= 0)", i, r)
-		}
+	if err := t.Observation().Validate(t.Nodes); err != nil {
+		return err
 	}
 	seen := make(map[[2]int]bool, len(t.Edges))
 	for i, e := range t.Edges {
@@ -150,24 +138,6 @@ func (t *Trace) Validate() error {
 			return fmt.Errorf("trace: edges[%d]: duplicate edge (%d,%d)", i, e.From, e.To)
 		}
 		seen[key] = true
-	}
-	if len(t.Seeds) > 0 && len(t.SeedStates) != 0 && len(t.SeedStates) != len(t.Seeds) {
-		return fmt.Errorf("trace: %d seed states for %d seeds", len(t.SeedStates), len(t.Seeds))
-	}
-	seenSeed := make(map[int]bool, len(t.Seeds))
-	for i, s := range t.Seeds {
-		if s < 0 || s >= t.Nodes {
-			return fmt.Errorf("trace: seeds[%d]: node %d out of range for %d nodes", i, s, t.Nodes)
-		}
-		if seenSeed[s] {
-			return fmt.Errorf("trace: seeds[%d]: duplicate seed %d", i, s)
-		}
-		seenSeed[s] = true
-	}
-	for i, c := range t.SeedStates {
-		if c != 1 && c != -1 {
-			return fmt.Errorf("trace: seed_states[%d]: state code %d not concrete (want +1 or -1)", i, c)
-		}
 	}
 	return nil
 }
@@ -188,17 +158,7 @@ func (t *Trace) BuildGraph() (*sgraph.Graph, error) {
 }
 
 // States decodes the observed snapshot states.
-func (t *Trace) States() ([]sgraph.State, error) {
-	states := make([]sgraph.State, len(t.Observed))
-	for i, c := range t.Observed {
-		s, err := codeToState(c)
-		if err != nil {
-			return nil, err
-		}
-		states[i] = s
-	}
-	return states, nil
-}
+func (t *Trace) States() ([]sgraph.State, error) { return t.Observation().states() }
 
 // SnapshotOn assembles a snapshot from this trace's observed states over an
 // already-built graph — the cache-hit path: g must be BuildGraph's result
@@ -207,14 +167,7 @@ func (t *Trace) SnapshotOn(g *sgraph.Graph) (*cascade.Snapshot, error) {
 	if g.NumNodes() != t.Nodes {
 		return nil, fmt.Errorf("trace: graph has %d nodes, trace %d", g.NumNodes(), t.Nodes)
 	}
-	states, err := t.States()
-	if err != nil {
-		return nil, err
-	}
-	if t.Rounds != nil {
-		return cascade.NewSnapshotWithRounds(g, states, t.Rounds)
-	}
-	return cascade.NewSnapshot(g, states)
+	return t.Observation().snapshot(g)
 }
 
 // Snapshot validates the trace and reconstructs the diffusion network and
@@ -255,26 +208,7 @@ func (t *Trace) NetworkHash() string {
 }
 
 // GroundTruth decodes the seed set and states, or nil if absent.
-func (t *Trace) GroundTruth() ([]int, []sgraph.State, error) {
-	if len(t.Seeds) == 0 {
-		return nil, nil, nil
-	}
-	if len(t.SeedStates) != len(t.Seeds) {
-		return nil, nil, fmt.Errorf("trace: %d seed states for %d seeds", len(t.SeedStates), len(t.Seeds))
-	}
-	states := make([]sgraph.State, len(t.SeedStates))
-	for i, c := range t.SeedStates {
-		s, err := codeToState(c)
-		if err != nil {
-			return nil, nil, err
-		}
-		if !s.Active() {
-			return nil, nil, fmt.Errorf("trace: seed state %v not concrete", s)
-		}
-		states[i] = s
-	}
-	return append([]int(nil), t.Seeds...), states, nil
-}
+func (t *Trace) GroundTruth() ([]int, []sgraph.State, error) { return t.Observation().GroundTruth() }
 
 // Write encodes the trace as JSON.
 func Write(w io.Writer, t *Trace) error {

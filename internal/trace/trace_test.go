@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/cascade"
@@ -276,4 +278,88 @@ func FuzzTraceRead(f *testing.F) {
 		}
 		_, _, _ = tr.GroundTruth()
 	})
+}
+
+// FuzzTraceDecode feeds arbitrary bytes through Decode (both wire formats).
+// Decoding and every downstream call must never panic. A trace that passes
+// Validate must survive the binary and the JSON round trip unchanged, and
+// the round-tripped copies must validate, bind snapshots and decode ground
+// truth exactly as the original does.
+func FuzzTraceDecode(f *testing.F) {
+	var js bytes.Buffer
+	if err := Write(&js, sampleTrace(true, true, true, true)); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(js.Bytes())
+	f.Add(MarshalBinary(sampleTrace(true, true, true, true)))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, err := Decode(data)
+		if err != nil {
+			return
+		}
+		_, _ = tr.Snapshot()
+		_, _, _ = tr.GroundTruth()
+		if tr.Validate() != nil {
+			return
+		}
+		bin, err := UnmarshalBinary(MarshalBinary(tr))
+		if err != nil {
+			t.Fatalf("binary round trip: %v", err)
+		}
+		var buf bytes.Buffer
+		if err := Write(&buf, tr); err != nil {
+			t.Fatal(err)
+		}
+		viaJSON, err := Read(&buf)
+		if err != nil {
+			t.Fatalf("JSON round trip: %v", err)
+		}
+		want := canonical(tr)
+		for name, got := range map[string]*Trace{"binary": bin, "JSON": viaJSON} {
+			if !reflect.DeepEqual(canonical(got), want) {
+				t.Fatalf("%s round trip changed the trace:\n got %+v\nwant %+v", name, got, tr)
+			}
+			if err := got.Validate(); err != nil {
+				t.Fatalf("%s round trip no longer validates: %v", name, err)
+			}
+			g, err := tr.BuildGraph()
+			if err != nil {
+				continue
+			}
+			s1, e1 := tr.SnapshotOn(g)
+			s2, e2 := got.SnapshotOn(g)
+			if fmt.Sprint(e1) != fmt.Sprint(e2) || !reflect.DeepEqual(s1, s2) {
+				t.Fatalf("%s round trip: SnapshotOn (%v) differs from the original's (%v)", name, e2, e1)
+			}
+			seeds1, states1, e1 := tr.GroundTruth()
+			seeds2, states2, e2 := got.GroundTruth()
+			if fmt.Sprint(e1) != fmt.Sprint(e2) || !reflect.DeepEqual(seeds1, seeds2) || !reflect.DeepEqual(states1, states2) {
+				t.Fatalf("%s round trip: GroundTruth (%v) differs from the original's (%v)", name, e2, e1)
+			}
+		}
+	})
+}
+
+// canonical returns a copy of t in the form both codecs reproduce: empty
+// slices as nil (JSON omits empty optional fields, RIDT always allocates
+// edges and observed states), and no seed states without seeds (RIDT has no
+// place for them; GroundTruth ignores them).
+func canonical(t *Trace) *Trace {
+	c := *t
+	if len(c.Edges) == 0 {
+		c.Edges = nil
+	}
+	if len(c.Observed) == 0 {
+		c.Observed = nil
+	}
+	if len(c.Rounds) == 0 {
+		c.Rounds = nil
+	}
+	if len(c.Seeds) == 0 {
+		c.Seeds, c.SeedStates = nil, nil
+	}
+	if len(c.SeedStates) == 0 {
+		c.SeedStates = nil
+	}
+	return &c
 }
