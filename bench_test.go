@@ -254,50 +254,18 @@ func BenchmarkArborLogVsLinear(b *testing.B) {
 	})
 	b.Run("linear", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := arbor.New(arbor.Options{}).MaxForest(g.NumNodes(), edges, -1e9); err != nil {
+			if _, _, err := new(arbor.Solver).MaxForest(g.NumNodes(), edges, -1e9); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("log", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := arbor.New(arbor.Options{}).MaxForest(g.NumNodes(), logEdges, -1e9); err != nil {
+			if _, _, err := new(arbor.Solver).MaxForest(g.NumNodes(), logEdges, -1e9); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
-}
-
-// BenchmarkArborKernels compares the two kernels behind arbor.New on the
-// log-weight forest workload cascade extraction feeds them: the default
-// Tarjan O(m log n) path-growing kernel against the reference
-// level-by-level contraction loop. Each sub-bench reuses one Solver, the
-// way the extraction worker pool holds them.
-func BenchmarkArborKernels(b *testing.B) {
-	rng := xrand.New(31)
-	g, err := gen.PreferentialAttachment(gen.Config{Nodes: 2000, Edges: 12000, PositiveRatio: 0.8}, rng)
-	if err != nil {
-		b.Fatal(err)
-	}
-	logEdges := make([]arbor.Edge, 0, g.NumEdges())
-	g.Edges(func(e sgraph.Edge) {
-		w := e.Weight
-		if w < 1e-9 {
-			w = 1e-9
-		}
-		logEdges = append(logEdges, arbor.Edge{From: e.From, To: e.To, Weight: math.Log(w)})
-	})
-	for _, alg := range []arbor.Algorithm{arbor.Tarjan, arbor.Contract} {
-		b.Run(alg.String(), func(b *testing.B) {
-			s := arbor.New(arbor.Options{Algorithm: alg})
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := s.MaxForest(g.NumNodes(), logEdges, -1e9); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 func BenchmarkBoostedVsRawWeights(b *testing.B) {
@@ -558,26 +526,36 @@ func BenchmarkGraphWarmup(b *testing.B) {
 	})
 }
 
-// --- Full-scale SNAP benches (opt-in) ---
+// --- Full-scale benches (opt-in) ---
 
-// fullScaleSnapshot builds a detection instance on a real SNAP edge list
-// named by an environment variable (a path, .gz accepted), or skips with a
-// download pointer when unset. These are the paper's actual datasets at
-// full size — Epinions ~131k nodes, Slashdot ~82k — so a run takes minutes
-// rather than the synthetic presets' milliseconds; they are excluded from
-// the default bench sweep and CI.
-func fullScaleSnapshot(b *testing.B, env, file string) (*cascade.Snapshot, []int) {
+// fullScaleSnapshot builds a detection instance at the paper's full size
+// from the environment variable env: a path to SNAP's edge list (.gz
+// accepted), or the word "synthetic" for the gen preset at scale 1.0.
+// Unset skips with a pointer, so these benches stay out of the default
+// sweep and CI. The real datasets are Epinions ~131k nodes and Slashdot
+// ~82k; the presets match Table II's counts.
+func fullScaleSnapshot(b *testing.B, env, file string, preset gen.Preset) (*cascade.Snapshot, []int) {
 	b.Helper()
-	path := os.Getenv(env)
-	if path == "" {
-		b.Skipf("%s not set; point it at SNAP's %s to run the full-scale bench", env, file)
+	src := os.Getenv(env)
+	rng := xrand.New(99)
+	var (
+		g   *sgraph.Graph
+		err error
+	)
+	switch src {
+	case "":
+		b.Skipf("%s not set; point it at SNAP's %s, or set it to synthetic for the scale-1.0 %s preset", env, file, preset.Name)
+	case "synthetic":
+		g, err = preset.Generate(1.0, rng) // already Jaccard-weighted
+	default:
+		if g, err = dataset.OpenSNAP(src); err == nil {
+			g = sgraph.WeightByJaccard(g, 0.1, rng)
+		}
 	}
-	g, err := dataset.OpenSNAP(path)
 	if err != nil {
 		b.Fatal(err)
 	}
-	rng := xrand.New(99)
-	dif := sgraph.WeightByJaccard(g, 0.1, rng).Reverse()
+	dif := g.Reverse()
 	// Table II's initiator density: 0.25% of nodes, half negative.
 	seeds, states, err := diffusion.SampleInitiators(dif.NumNodes(), dif.NumNodes()/400, 0.5, rng)
 	if err != nil {
@@ -591,13 +569,11 @@ func fullScaleSnapshot(b *testing.B, env, file string) (*cascade.Snapshot, []int
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ReportMetric(float64(dif.NumNodes()), "nodes")
-	b.ReportMetric(float64(c.NumInfected()), "infected")
 	return snap, seeds
 }
 
-func benchFullScale(b *testing.B, env, file string) {
-	snap, seeds := fullScaleSnapshot(b, env, file)
+func benchFullScale(b *testing.B, env, file string, preset gen.Preset) {
+	snap, seeds := fullScaleSnapshot(b, env, file, preset)
 	rid, err := core.NewRID(core.RIDConfig{Alpha: 3, Beta: 0.3})
 	if err != nil {
 		b.Fatal(err)
@@ -611,15 +587,18 @@ func benchFullScale(b *testing.B, env, file string) {
 		}
 		f1 = metrics.EvalIdentity(det.Initiators, seeds).F1
 	}
+	// Reported after ResetTimer, which clears custom metrics.
+	b.ReportMetric(float64(snap.G.NumNodes()), "nodes")
+	b.ReportMetric(float64(len(snap.Infected())), "infected")
 	b.ReportMetric(f1, "F1")
 }
 
 func BenchmarkFullScaleEpinions(b *testing.B) {
-	benchFullScale(b, "RID_SNAP_EPINIONS", "soc-sign-epinions.txt.gz")
+	benchFullScale(b, "RID_SNAP_EPINIONS", "soc-sign-epinions.txt.gz", gen.Epinions)
 }
 
 func BenchmarkFullScaleSlashdot(b *testing.B) {
-	benchFullScale(b, "RID_SNAP_SLASHDOT", "soc-sign-Slashdot090221.txt.gz")
+	benchFullScale(b, "RID_SNAP_SLASHDOT", "soc-sign-Slashdot090221.txt.gz", gen.Slashdot)
 }
 
 // BenchmarkIncrementalDetect measures what the event-sourced ingest path

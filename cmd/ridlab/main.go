@@ -153,7 +153,7 @@ func run(o options) error {
 	}
 	id := metrics.EvalIdentity(det.Initiators, seeds)
 	fmt.Printf("identity: precision=%.3f recall=%.3f F1=%.3f\n", id.Precision, id.Recall, id.F1)
-	if det.States != nil {
+	if det.States != nil && states != nil {
 		stm, err := metrics.EvalStates(det.Initiators, det.States, seeds, states)
 		if err != nil {
 			return err
@@ -162,15 +162,20 @@ func run(o options) error {
 			stm.Accuracy, stm.MAE, stm.R2, stm.Compared)
 	}
 	if o.verbose {
+		// Identity-only ground truth (seeds without states) marks TP/FP
+		// but cannot judge a detected state.
 		truth := make(map[int]sgraph.State, len(seeds))
 		for i, s := range seeds {
-			truth[s] = states[i]
+			truth[s] = sgraph.StateUnknown
+			if states != nil {
+				truth[s] = states[i]
+			}
 		}
 		for i, v := range det.Initiators {
 			mark := "FP"
 			if ts, ok := truth[v]; ok {
 				mark = "TP"
-				if det.States != nil && det.States[i] != ts {
+				if det.States != nil && states != nil && det.States[i] != ts {
 					mark = "TP(state wrong)"
 				}
 			}

@@ -74,7 +74,7 @@ func TestMaxArborescenceSimple(t *testing.T) {
 	edges := []Edge{
 		{0, 1, 5}, {0, 2, 3}, {1, 2, 4}, {2, 1, 4}, {1, 3, 2}, {2, 3, 6},
 	}
-	chosen, total, err := New(Options{}).MaxArborescence(4, edges, 0)
+	chosen, total, err := new(Solver).MaxArborescence(4, edges, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestMaxArborescenceCycleContraction(t *testing.T) {
 	edges := []Edge{
 		{0, 1, 1}, {1, 2, 10}, {2, 1, 10}, {0, 2, 1},
 	}
-	_, total, err := New(Options{}).MaxArborescence(3, edges, 0)
+	_, total, err := new(Solver).MaxArborescence(3, edges, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,13 +114,13 @@ func TestMaxArborescenceNestedCycles(t *testing.T) {
 		{2, 4, 5}, {4, 2, 9}, {3, 4, 1},
 	}
 	want := bruteArborescence(5, edges, 0)
-	for _, alg := range algorithms {
-		chosen, total, err := New(Options{Algorithm: alg}).MaxArborescence(5, edges, 0)
+	for _, k := range kernels {
+		chosen, total, err := k.new().MaxArborescence(5, edges, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if math.Abs(total-want) > 1e-9 {
-			t.Errorf("%v: total = %g, want %g", alg, total, want)
+			t.Errorf("%s: total = %g, want %g", k.name, total, want)
 		}
 		validateArborescence(t, 5, edges, chosen, 0)
 	}
@@ -156,21 +156,21 @@ func validateArborescence(t *testing.T, n int, edges []Edge, chosen []int, root 
 
 func TestMaxArborescenceUnreachable(t *testing.T) {
 	edges := []Edge{{0, 1, 1}} // node 2 unreachable
-	for _, alg := range algorithms {
-		_, _, err := New(Options{Algorithm: alg}).MaxArborescence(3, edges, 0)
+	for _, k := range kernels {
+		_, _, err := k.new().MaxArborescence(3, edges, 0)
 		if !errors.Is(err, ErrUnreachable) {
-			t.Errorf("%v: err = %v, want ErrUnreachable", alg, err)
+			t.Errorf("%s: err = %v, want ErrUnreachable", k.name, err)
 		}
 	}
 }
 
 func TestMaxArborescenceBadInput(t *testing.T) {
-	for _, alg := range algorithms {
-		if _, _, err := New(Options{Algorithm: alg}).MaxArborescence(3, nil, 5); err == nil {
-			t.Errorf("%v: root out of range should error", alg)
+	for _, k := range kernels {
+		if _, _, err := k.new().MaxArborescence(3, nil, 5); err == nil {
+			t.Errorf("%s: root out of range should error", k.name)
 		}
-		if _, _, err := New(Options{Algorithm: alg}).MaxArborescence(2, []Edge{{0, 7, 1}}, 0); err == nil {
-			t.Errorf("%v: edge out of range should error", alg)
+		if _, _, err := k.new().MaxArborescence(2, []Edge{{0, 7, 1}}, 0); err == nil {
+			t.Errorf("%s: edge out of range should error", k.name)
 		}
 	}
 }
@@ -181,7 +181,7 @@ func TestMaxArborescenceIgnoresSelfLoopsAndRootEdges(t *testing.T) {
 		{1, 0, 100}, // into root
 		{0, 1, 2},
 	}
-	chosen, total, err := New(Options{}).MaxArborescence(2, edges, 0)
+	chosen, total, err := new(Solver).MaxArborescence(2, edges, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,8 +205,8 @@ func TestMaxArborescenceMatchesBruteForce(t *testing.T) {
 			edges = append(edges, Edge{u, v, rng.Range(-5, 5)})
 		}
 		want := bruteArborescence(n, edges, 0)
-		for _, alg := range algorithms {
-			chosen, got, err := New(Options{Algorithm: alg}).MaxArborescence(n, edges, 0)
+		for _, k := range kernels {
+			chosen, got, err := k.new().MaxArborescence(n, edges, 0)
 			if math.IsInf(want, -1) {
 				if !errors.Is(err, ErrUnreachable) {
 					return false
@@ -231,7 +231,7 @@ func TestMaxForest(t *testing.T) {
 		{0, 1, 2}, {1, 2, 3},
 		{3, 4, 4},
 	}
-	parents, total, err := New(Options{}).MaxForest(5, edges, -1000)
+	parents, total, err := new(Solver).MaxForest(5, edges, -1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func TestMaxForest(t *testing.T) {
 }
 
 func TestMaxForestEmpty(t *testing.T) {
-	parents, total, err := New(Options{}).MaxForest(0, nil, -1)
+	parents, total, err := new(Solver).MaxForest(0, nil, -1)
 	if err != nil || parents != nil || total != 0 {
 		t.Errorf("empty forest = %v %g %v", parents, total, err)
 	}
@@ -265,14 +265,14 @@ func TestMaxForestRootScoreTradeoff(t *testing.T) {
 	// A single negative-weight in-edge: with mild root penalty the node
 	// prefers to become a root; with harsh penalty it takes the edge.
 	edges := []Edge{{0, 1, -5}}
-	parents, _, err := New(Options{}).MaxForest(2, edges, -1)
+	parents, _, err := new(Solver).MaxForest(2, edges, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if parents[1] != -1 {
 		t.Errorf("mild penalty: parents[1] = %d, want root", parents[1])
 	}
-	parents, _, err = New(Options{}).MaxForest(2, edges, -100)
+	parents, _, err = new(Solver).MaxForest(2, edges, -100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +293,7 @@ func TestMaxForestEveryNodeCovered(t *testing.T) {
 				edges = append(edges, Edge{u, v, rng.Range(0, 1)})
 			}
 		}
-		parents, _, err := New(Options{}).MaxForest(n, edges, -1e6)
+		parents, _, err := new(Solver).MaxForest(n, edges, -1e6)
 		if err != nil {
 			return false
 		}

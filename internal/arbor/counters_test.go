@@ -18,62 +18,71 @@ func cycleGraph() (int, []Edge, int) {
 	return 3, edges, 0
 }
 
+// TestSolverCounters pins the production Solver's counters and the
+// oracle's own work counts on a graph that needs one contraction: both
+// kernels stage the same edges and contract the same cycle, and only the
+// oracle needs a second level to do it.
 func TestSolverCounters(t *testing.T) {
-	for _, alg := range []Algorithm{Tarjan, Contract} {
-		t.Run(alg.String(), func(t *testing.T) {
-			var cs obs.CounterSet
-			s := New(Options{Algorithm: alg})
-			s.SetCounters(&cs)
-			n, edges, root := cycleGraph()
-			if _, _, err := s.MaxArborescence(n, edges, root); err != nil {
-				t.Fatal(err)
-			}
-			a := cs.Arbor
-			if alg == Tarjan {
-				if a.TarjanSolves != 1 || a.ContractSolves != 0 {
-					t.Fatalf("solve counts: %+v", a)
-				}
-				if a.HeapMelds == 0 || a.HeapPops == 0 {
-					t.Fatalf("tarjan heap counts empty: %+v", a)
-				}
-			} else {
-				if a.ContractSolves != 1 || a.TarjanSolves != 0 {
-					t.Fatalf("solve counts: %+v", a)
-				}
-				if a.ContractLevels < 2 || a.EdgeRescans == 0 {
-					t.Fatalf("contract level counts: %+v", a)
-				}
-			}
-			if a.EdgesStaged != 4 {
-				t.Fatalf("EdgesStaged = %d, want 4", a.EdgesStaged)
-			}
-			if a.CyclesContracted != 1 {
-				t.Fatalf("CyclesContracted = %d, want 1", a.CyclesContracted)
-			}
+	n, edges, root := cycleGraph()
+	t.Run("tarjan", func(t *testing.T) {
+		var cs obs.CounterSet
+		var s Solver
+		s.SetCounters(&cs)
+		if _, _, err := s.MaxArborescence(n, edges, root); err != nil {
+			t.Fatal(err)
+		}
+		a := cs.Arbor
+		if a.TarjanSolves != 1 || a.HeapMelds == 0 || a.HeapPops == 0 {
+			t.Fatalf("solve/heap counts: %+v", a)
+		}
+		if a.EdgesStaged != 4 || a.CyclesContracted != 1 {
+			t.Fatalf("EdgesStaged = %d, CyclesContracted = %d, want 4 and 1", a.EdgesStaged, a.CyclesContracted)
+		}
 
-			// A second solve accumulates rather than overwrites.
-			if _, _, err := s.MaxArborescence(n, edges, root); err != nil {
-				t.Fatal(err)
-			}
-			if got := cs.Arbor.EdgesStaged; got != 8 {
-				t.Fatalf("EdgesStaged after 2 solves = %d, want 8", got)
-			}
+		// A second solve accumulates rather than overwrites.
+		if _, _, err := s.MaxArborescence(n, edges, root); err != nil {
+			t.Fatal(err)
+		}
+		if got := cs.Arbor.EdgesStaged; got != 8 {
+			t.Fatalf("EdgesStaged after 2 solves = %d, want 8", got)
+		}
 
-			// Detaching stops counting without breaking solves.
-			s.SetCounters(nil)
-			if _, _, err := s.MaxArborescence(n, edges, root); err != nil {
-				t.Fatal(err)
-			}
-			if got := cs.Arbor.EdgesStaged; got != 8 {
-				t.Fatalf("detached solve still counted: EdgesStaged = %d", got)
-			}
-		})
-	}
+		// Detaching stops counting without breaking solves.
+		s.SetCounters(nil)
+		if _, _, err := s.MaxArborescence(n, edges, root); err != nil {
+			t.Fatal(err)
+		}
+		if got := cs.Arbor.EdgesStaged; got != 8 {
+			t.Fatalf("detached solve still counted: EdgesStaged = %d", got)
+		}
+
+		// Re-attaching counts only the solves made while attached.
+		s.SetCounters(&cs)
+		if _, _, err := s.MaxArborescence(n, edges, root); err != nil {
+			t.Fatal(err)
+		}
+		if got := cs.Arbor.EdgesStaged; got != 12 {
+			t.Fatalf("re-attached solve: EdgesStaged = %d, want 12", got)
+		}
+	})
+	t.Run("contract", func(t *testing.T) {
+		var c contract
+		if _, _, err := c.MaxArborescence(n, edges, root); err != nil {
+			t.Fatal(err)
+		}
+		st := c.stats
+		if st.edgesStaged != 4 || st.cyclesContracted != 1 {
+			t.Fatalf("edgesStaged = %d, cyclesContracted = %d, want 4 and 1", st.edgesStaged, st.cyclesContracted)
+		}
+		if st.levels < 2 || st.edgeRescans == 0 {
+			t.Fatalf("contract level counts: %+v", st)
+		}
+	})
 }
 
 func TestSolverCountersMaxForest(t *testing.T) {
 	var cs obs.CounterSet
-	s := New(Options{})
+	var s Solver
 	s.SetCounters(&cs)
 	edges := []Edge{
 		{From: 0, To: 1, Weight: 2},

@@ -8,11 +8,27 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/gen"
+	"repro/internal/sgraph"
 	"repro/internal/xrand"
 )
 
-// algorithms under differential test.
-var algorithms = []Algorithm{Tarjan, Contract}
+// kernel is the solve surface the production Solver and the contract
+// oracle share.
+type kernel interface {
+	MaxArborescence(n int, edges []Edge, root int) ([]int, float64, error)
+	MaxForest(n int, edges []Edge, rootScore float64) ([]int, float64, error)
+}
+
+// kernels under differential test, each with a constructor for a fresh
+// instance.
+var kernels = []struct {
+	name string
+	new  func() kernel
+}{
+	{"tarjan", func() kernel { return new(Solver) }},
+	{"contract", func() kernel { return new(contract) }},
+}
 
 // randInstance builds a random digraph stressing every edge case the
 // kernels must agree on: multi-edges (parallel candidates with distinct
@@ -43,8 +59,8 @@ func randInstance(rng *xrand.Rand) (n int, edges []Edge, root int) {
 // arborescence (rooted, acyclic, one in-edge per non-root node) of
 // bit-identical total weight.
 func checkKernelsAgree(n int, edges []Edge, root int) error {
-	chosenT, totalT, errT := New(Options{Algorithm: Tarjan}).MaxArborescence(n, edges, root)
-	chosenC, totalC, errC := New(Options{Algorithm: Contract}).MaxArborescence(n, edges, root)
+	chosenT, totalT, errT := new(Solver).MaxArborescence(n, edges, root)
+	chosenC, totalC, errC := new(contract).MaxArborescence(n, edges, root)
 	if (errT != nil) != (errC != nil) {
 		return fmt.Errorf("kernel disagreement: tarjan err=%v, contract err=%v", errT, errC)
 	}
@@ -65,8 +81,8 @@ func checkKernelsAgree(n int, edges []Edge, root int) error {
 	// MaxForest must agree too: its virtual-root reduction never fails, so
 	// the invariant is equality of totals plus validity of both forests.
 	// -1024 is dyadic, keeping the arithmetic exact.
-	parT, ftotT, errT := New(Options{Algorithm: Tarjan}).MaxForest(n, edges, -1024)
-	parC, ftotC, errC := New(Options{Algorithm: Contract}).MaxForest(n, edges, -1024)
+	parT, ftotT, errT := new(Solver).MaxForest(n, edges, -1024)
+	parC, ftotC, errC := new(contract).MaxForest(n, edges, -1024)
 	if errT != nil || errC != nil {
 		return fmt.Errorf("forest errors: tarjan %v, contract %v", errT, errC)
 	}
@@ -165,8 +181,8 @@ func TestKernelsAgreeContinuousWeights(t *testing.T) {
 			edges = append(edges, Edge{From: rng.Intn(n), To: rng.Intn(n), Weight: rng.Range(-5, 5)})
 		}
 		root := rng.Intn(n)
-		_, totalT, errT := New(Options{Algorithm: Tarjan}).MaxArborescence(n, edges, root)
-		_, totalC, errC := New(Options{Algorithm: Contract}).MaxArborescence(n, edges, root)
+		_, totalT, errT := new(Solver).MaxArborescence(n, edges, root)
+		_, totalC, errC := new(contract).MaxArborescence(n, edges, root)
 		if (errT != nil) != (errC != nil) {
 			return false
 		}
@@ -196,27 +212,27 @@ func FuzzKernelEquivalence(f *testing.F) {
 }
 
 // TestSolverReuse solves back-to-back instances of different shapes on one
-// Solver per kernel: arena reuse must never leak state between solves.
+// instance per kernel: arena reuse must never leak state between solves.
 func TestSolverReuse(t *testing.T) {
-	for _, alg := range algorithms {
-		s := New(Options{Algorithm: alg})
+	for _, k := range kernels {
+		s := k.new()
 		rng := xrand.New(99)
 		for i := 0; i < 50; i++ {
 			n, edges, root := randInstance(rng)
 			chosen, total, err := s.MaxArborescence(n, edges, root)
-			chosen2, total2, err2 := New(Options{Algorithm: alg}).MaxArborescence(n, edges, root)
+			chosen2, total2, err2 := k.new().MaxArborescence(n, edges, root)
 			if (err != nil) != (err2 != nil) {
-				t.Fatalf("%v: reused solver err %v, fresh solver err %v", alg, err, err2)
+				t.Fatalf("%s: reused solver err %v, fresh solver err %v", k.name, err, err2)
 			}
 			if err != nil {
 				continue
 			}
 			if total != total2 {
-				t.Fatalf("%v: reused solver total %v, fresh %v", alg, total, total2)
+				t.Fatalf("%s: reused solver total %v, fresh %v", k.name, total, total2)
 			}
 			for v := range chosen {
 				if chosen[v] != chosen2[v] {
-					t.Fatalf("%v: reused solver chose %d for node %d, fresh chose %d", alg, chosen[v], v, chosen2[v])
+					t.Fatalf("%s: reused solver chose %d for node %d, fresh chose %d", k.name, chosen[v], v, chosen2[v])
 				}
 			}
 		}
@@ -232,36 +248,48 @@ func TestUnreachableReportsOriginalNode(t *testing.T) {
 	// it. Each kernel first contracts {1, 2} and only then discovers the
 	// contracted vertex has no external in-edge.
 	edges := []Edge{{From: 1, To: 2, Weight: 5}, {From: 2, To: 1, Weight: 5}}
-	for _, alg := range algorithms {
-		_, _, err := New(Options{Algorithm: alg}).MaxArborescence(3, edges, 0)
+	for _, k := range kernels {
+		_, _, err := k.new().MaxArborescence(3, edges, 0)
 		if !errors.Is(err, ErrUnreachable) {
-			t.Fatalf("%v: err = %v, want ErrUnreachable", alg, err)
+			t.Fatalf("%s: err = %v, want ErrUnreachable", k.name, err)
 		}
 		if !strings.Contains(err.Error(), "node 1") {
-			t.Errorf("%v: error %q does not name original node 1", alg, err)
+			t.Errorf("%s: error %q does not name original node 1", k.name, err)
 		}
 		if strings.Contains(err.Error(), "node 0") || strings.Contains(err.Error(), "node 2") {
-			t.Errorf("%v: error %q names a wrong node", alg, err)
+			t.Errorf("%s: error %q names a wrong node", k.name, err)
 		}
 	}
 }
 
-// TestAlgorithmString covers the enum labels used in logs and benches.
-func TestAlgorithmString(t *testing.T) {
-	if Tarjan.String() != "tarjan" || Contract.String() != "contract" {
-		t.Errorf("labels = %q, %q", Tarjan, Contract)
+// BenchmarkArborKernels compares the production Tarjan kernel against the
+// contract oracle on the log-weight forest workload cascade extraction
+// feeds them. Each sub-bench reuses one instance, the way the extraction
+// worker pool holds Solvers. The graph stays at 2,000 nodes: the oracle's
+// arenas grow with levels × edges and exhaust memory at full scale.
+func BenchmarkArborKernels(b *testing.B) {
+	rng := xrand.New(31)
+	g, err := gen.PreferentialAttachment(gen.Config{Nodes: 2000, Edges: 12000, PositiveRatio: 0.8}, rng)
+	if err != nil {
+		b.Fatal(err)
 	}
-	if got := Algorithm(9).String(); got != "Algorithm(9)" {
-		t.Errorf("out-of-range label = %q", got)
-	}
-}
-
-// TestNewPanicsOnUnknownAlgorithm pins New's contract for invalid enums.
-func TestNewPanicsOnUnknownAlgorithm(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("New(Options{Algorithm: 9}) did not panic")
+	logEdges := make([]Edge, 0, g.NumEdges())
+	g.Edges(func(e sgraph.Edge) {
+		w := e.Weight
+		if w < 1e-9 {
+			w = 1e-9
 		}
-	}()
-	New(Options{Algorithm: 9})
+		logEdges = append(logEdges, Edge{From: e.From, To: e.To, Weight: math.Log(w)})
+	})
+	for _, k := range kernels {
+		b.Run(k.name, func(b *testing.B) {
+			s := k.new()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := s.MaxForest(g.NumNodes(), logEdges, -1e9); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

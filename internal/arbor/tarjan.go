@@ -5,16 +5,17 @@ import (
 	"math"
 )
 
-// This file implements Tarjan's O(m log n) maximum-arborescence algorithm
-// (Tarjan 1977, with the path-growing refinement of Gabow, Galil, Spencer
-// & Tarjan 1986): every super-vertex keeps its candidate in-edges in a
-// mergeable skew heap whose weights are adjusted lazily with additive
-// offsets, cycle contraction is a weighted union-find merge of the member
-// heaps, and the chosen edge set is reconstructed by path expansion over
-// the contraction forest. Compared to the level-by-level contraction loop
-// in arbor.go (kept as the reference kernel), no edge is ever re-scanned:
-// each of the m candidate edges enters a heap once and is popped at most
-// once, for O(m log n) total work instead of O(n m).
+// This file is the package's one arborescence kernel: Tarjan's O(m log n)
+// maximum-arborescence algorithm (Tarjan 1977, with the path-growing
+// refinement of Gabow, Galil, Spencer & Tarjan 1986). Every super-vertex
+// keeps its candidate in-edges in a mergeable skew heap whose weights are
+// adjusted lazily with additive offsets, cycle contraction is a weighted
+// union-find merge of the member heaps, and the chosen edge set is
+// reconstructed by path expansion over the contraction forest. Each of
+// the m candidate edges enters a heap once and is popped at most once,
+// for O(m log n) total work; the paper's level-by-level contraction loop,
+// which re-scans every surviving edge per level, is its test oracle
+// (contract_test.go).
 
 // tedge is a staged (filtered) candidate edge in level-0 coordinates.
 type tedge struct {
@@ -41,170 +42,105 @@ const (
 	tDone
 )
 
-// tarjan holds the reusable scratch of the O(m log n) kernel. The zero
-// value is ready to use; buffers grow on first solve and are retained, so
-// repeated solves (per-component forest extraction) allocate only the
-// returned slices. Not safe for concurrent use — a Solver owns exactly one.
-type tarjan struct {
-	edges  []tedge // staged candidate edges (self-loops and root in-edges dropped)
-	origOf []int32 // staged edge -> caller edge index
-	hnodes []hnode // skew-heap arena, one node per staged edge
-
-	// Contraction forest, indexed by forest-node id: originals occupy
-	// [0, n), contracted super-vertices are appended from n up (< 2n).
-	heapOf  []int32   // root heap node of each forest node, -1 when empty
-	inEdge  []int32   // chosen staged in-edge of each processed forest node
-	inKey   []float64 // the chosen edge's offset-adjusted weight at selection time
-	parentF []int32   // enclosing super-vertex, -1 at top level
-	minOrig []int32   // smallest original node id inside the forest node
-	state   []int8
-	members []int32 // flattened member lists of contracted super-vertices
-	memOff  []int32 // per super-vertex ordinal: offsets into members (+1 sentinel)
-
-	// Weighted union-find over original node ids; topOf maps a set
-	// representative to the current topmost forest node containing it.
-	dsuP  []int32
-	dsuSz []int32
-	topOf []int32
-
-	path []int32 // growth path (contraction), then dissolve stack (expansion)
-	sel  []int32 // selected staged edges of the final arborescence
-
-	stats kernelStats // per-solve work counts, reset by the owning Solver
-}
-
-// stage filters the caller's edge list exactly as the contraction kernel
-// does: self-loops and edges into the root are dropped, out-of-range
-// endpoints are an error, and origOf remembers each survivor's caller
-// index.
-func (t *tarjan) stage(n int, edges []Edge, root int) error {
-	if cap(t.edges) < len(edges) {
-		t.edges = make([]tedge, 0, len(edges))
+// stage filters the caller's edge list: self-loops and edges into the
+// root are dropped, out-of-range endpoints are an error, and origOf
+// remembers each survivor's caller index.
+func (s *Solver) stage(n int, edges []Edge, root int) error {
+	if cap(s.edges) < len(edges) {
+		s.edges = make([]tedge, 0, len(edges))
 	}
-	staged := t.edges[:0]
-	origOf := reserveInt32(t.origOf, len(edges))
+	staged := s.edges[:0]
+	origOf := reserveInt32(s.origOf, len(edges))
 	for i, e := range edges {
 		if e.From == e.To || e.To == root {
 			continue
 		}
 		if e.From < 0 || e.From >= n || e.To < 0 || e.To >= n {
-			t.edges, t.origOf = staged, origOf
+			s.edges, s.origOf = staged, origOf
 			return fmt.Errorf("arbor: edge %d endpoints (%d,%d) out of range", i, e.From, e.To)
 		}
 		staged = append(staged, tedge{from: int32(e.From), to: int32(e.To), w: e.Weight})
 		origOf = append(origOf, int32(i))
 	}
-	t.edges, t.origOf = staged, origOf
-	t.stats.edgesStaged += int64(len(staged))
+	s.edges, s.origOf = staged, origOf
+	s.work.EdgesStaged += int64(len(staged))
 	return nil
-}
-
-// maxArborescence runs the full kernel over the caller's edge list and
-// maps the selection back to caller edge indices. The total is summed in
-// node order so equal chosen-edge sets produce bit-identical totals across
-// kernels.
-func (t *tarjan) maxArborescence(n int, edges []Edge, root int) ([]int, float64, error) {
-	if root < 0 || root >= n {
-		return nil, 0, fmt.Errorf("arbor: root %d out of range [0,%d)", root, n)
-	}
-	if err := t.stage(n, edges, root); err != nil {
-		return nil, 0, err
-	}
-	sel, err := t.solve(n, root)
-	if err != nil {
-		return nil, 0, err
-	}
-	chosen := make([]int, n)
-	for v := range chosen {
-		chosen[v] = -1
-	}
-	for _, fi := range sel {
-		oi := int(t.origOf[fi])
-		chosen[edges[oi].To] = oi
-	}
-	total := 0.0
-	for v := 0; v < n; v++ {
-		if chosen[v] >= 0 {
-			total += edges[chosen[v]].Weight
-		}
-	}
-	return chosen, total, nil
 }
 
 // solve runs contraction and expansion over the staged edges, returning
 // the selected staged-edge indices (one in-edge per non-root node).
-func (t *tarjan) solve(n, root int) ([]int32, error) {
-	m := len(t.edges)
+func (s *Solver) solve(n, root int) ([]int32, error) {
+	m := len(s.edges)
 	nfMax := 2*n + 1 // n originals + at most n contractions
 
 	// Arena and forest state. Entries for contracted nodes are written at
 	// creation time, so only the original-node prefix needs initializing.
-	if cap(t.hnodes) < m {
-		t.hnodes = make([]hnode, m)
+	if cap(s.hnodes) < m {
+		s.hnodes = make([]hnode, m)
 	}
-	t.hnodes = t.hnodes[:m]
-	t.heapOf = growInt32(t.heapOf, nfMax)
-	t.inEdge = growInt32(t.inEdge, nfMax)
-	t.inKey = growF64(t.inKey, nfMax)
-	t.parentF = growInt32(t.parentF, nfMax)
-	t.minOrig = growInt32(t.minOrig, nfMax)
-	t.state = growInt8(t.state, nfMax)
-	t.dsuP = growInt32(t.dsuP, n)
-	t.dsuSz = growInt32(t.dsuSz, n)
-	t.topOf = growInt32(t.topOf, n)
+	s.hnodes = s.hnodes[:m]
+	s.heapOf = growInt32(s.heapOf, nfMax)
+	s.inEdge = growInt32(s.inEdge, nfMax)
+	s.inKey = growF64(s.inKey, nfMax)
+	s.parentF = growInt32(s.parentF, nfMax)
+	s.minOrig = growInt32(s.minOrig, nfMax)
+	s.state = growInt8(s.state, nfMax)
+	s.dsuP = growInt32(s.dsuP, n)
+	s.dsuSz = growInt32(s.dsuSz, n)
+	s.topOf = growInt32(s.topOf, n)
 	for v := 0; v < n; v++ {
-		t.heapOf[v] = -1
-		t.parentF[v] = -1
-		t.minOrig[v] = int32(v)
-		t.state[v] = tUnvisited
-		t.dsuP[v] = int32(v)
-		t.dsuSz[v] = 1
-		t.topOf[v] = int32(v)
+		s.heapOf[v] = -1
+		s.parentF[v] = -1
+		s.minOrig[v] = int32(v)
+		s.state[v] = tUnvisited
+		s.dsuP[v] = int32(v)
+		s.dsuSz[v] = 1
+		s.topOf[v] = int32(v)
 	}
-	t.state[root] = tDone
-	t.members = t.members[:0]
-	t.memOff = append(t.memOff[:0], 0)
+	s.state[root] = tDone
+	s.members = s.members[:0]
+	s.memOff = append(s.memOff[:0], 0)
 
 	// One heap node per staged edge, melded into its target's heap in edge
 	// order (ties inside a heap keep the earlier-melded edge on top, so the
 	// whole kernel is deterministic).
-	for i := range t.edges {
-		t.hnodes[i] = hnode{l: -1, r: -1, edge: int32(i), key: t.edges[i].w}
+	for i := range s.edges {
+		s.hnodes[i] = hnode{l: -1, r: -1, edge: int32(i), key: s.edges[i].w}
 	}
-	for i := range t.edges {
-		to := t.edges[i].to
-		t.heapOf[to] = t.meld(t.heapOf[to], int32(i))
+	for i := range s.edges {
+		to := s.edges[i].to
+		s.heapOf[to] = s.meld(s.heapOf[to], int32(i))
 	}
 
 	// Contraction: grow a path of super-vertices, each picking its best
 	// in-edge; a pick into the path contracts the cycle, a pick into a done
 	// vertex (or the root) retires the whole path.
 	nf := int32(n)
-	path := t.path[:0]
+	path := s.path[:0]
 	for v0 := 0; v0 < n; v0++ {
-		start := t.topOf[t.find(int32(v0))]
-		if t.state[start] != tUnvisited {
+		start := s.topOf[s.find(int32(v0))]
+		if s.state[start] != tUnvisited {
 			continue
 		}
 		cur := start
 		for {
-			t.state[cur] = tOnPath
+			s.state[cur] = tOnPath
 			path = append(path, cur)
-			ei, key, ok := t.popValid(cur)
+			ei, key, ok := s.popValid(cur)
 			if !ok {
-				t.path = path[:0]
-				return nil, fmt.Errorf("%w: node %d has no in-edge", ErrUnreachable, t.minOrig[cur])
+				s.path = path[:0]
+				return nil, fmt.Errorf("%w: node %d has no in-edge", ErrUnreachable, s.minOrig[cur])
 			}
-			t.inEdge[cur], t.inKey[cur] = ei, key
-			u := t.topOf[t.find(t.edges[ei].from)]
-			if t.state[u] == tDone {
+			s.inEdge[cur], s.inKey[cur] = ei, key
+			u := s.topOf[s.find(s.edges[ei].from)]
+			if s.state[u] == tDone {
 				for _, p := range path {
-					t.state[p] = tDone
+					s.state[p] = tDone
 				}
 				path = path[:0]
 				break
 			}
-			if t.state[u] == tUnvisited {
+			if s.state[u] == tUnvisited {
 				cur = u
 				continue
 			}
@@ -214,39 +150,39 @@ func (t *tarjan) solve(n, root int) ([]int32, error) {
 			// heaps are melded.
 			c := nf
 			nf++
-			t.stats.cyclesContracted++
+			s.work.CyclesContracted++
 			h := int32(-1)
 			mo := int32(math.MaxInt32)
 			rep := int32(-1)
 			for {
 				v := path[len(path)-1]
 				path = path[:len(path)-1]
-				t.members = append(t.members, v)
-				t.parentF[v] = c
-				if hv := t.heapOf[v]; hv >= 0 {
-					nh := &t.hnodes[hv]
-					nh.key -= t.inKey[v]
-					nh.lazy -= t.inKey[v]
-					h = t.meld(h, hv)
+				s.members = append(s.members, v)
+				s.parentF[v] = c
+				if hv := s.heapOf[v]; hv >= 0 {
+					nh := &s.hnodes[hv]
+					nh.key -= s.inKey[v]
+					nh.lazy -= s.inKey[v]
+					h = s.meld(h, hv)
 				}
-				if t.minOrig[v] < mo {
-					mo = t.minOrig[v]
+				if s.minOrig[v] < mo {
+					mo = s.minOrig[v]
 				}
 				if rep < 0 {
-					rep = t.minOrig[v]
+					rep = s.minOrig[v]
 				} else {
-					rep = t.union(rep, t.minOrig[v])
+					rep = s.union(rep, s.minOrig[v])
 				}
 				if v == u {
 					break
 				}
 			}
-			t.memOff = append(t.memOff, int32(len(t.members)))
-			t.heapOf[c] = h
-			t.parentF[c] = -1
-			t.minOrig[c] = mo
-			t.state[c] = tUnvisited
-			t.topOf[t.find(rep)] = c
+			s.memOff = append(s.memOff, int32(len(s.members)))
+			s.heapOf[c] = h
+			s.parentF[c] = -1
+			s.minOrig[c] = mo
+			s.state[c] = tUnvisited
+			s.topOf[s.find(rep)] = c
 			cur = c
 		}
 	}
@@ -255,120 +191,120 @@ func (t *tarjan) solve(n, root int) ([]int32, error) {
 	// edge; dissolving the super-vertices on the walk from the edge's real
 	// target up to the entered node keeps all other members' cycle picks,
 	// which enter the stack in turn.
-	sel := t.sel[:0]
+	sel := s.sel[:0]
 	stack := path[:0]
 	for x := int32(0); x < nf; x++ {
-		if t.parentF[x] == -1 && int(x) != root {
+		if s.parentF[x] == -1 && int(x) != root {
 			stack = append(stack, x)
 		}
 	}
 	for len(stack) > 0 {
 		c := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		e := t.inEdge[c]
+		e := s.inEdge[c]
 		sel = append(sel, e)
-		for u := t.edges[e].to; u != c; {
-			s := t.parentF[u]
-			k := s - int32(n)
-			for _, mm := range t.members[t.memOff[k]:t.memOff[k+1]] {
+		for u := s.edges[e].to; u != c; {
+			p := s.parentF[u]
+			k := p - int32(n)
+			for _, mm := range s.members[s.memOff[k]:s.memOff[k+1]] {
 				if mm != u {
 					stack = append(stack, mm)
 				}
 			}
-			u = s
+			u = p
 		}
 	}
-	t.path = stack[:0]
-	t.sel = sel
+	s.path = stack[:0]
+	s.sel = sel
 	return sel, nil
 }
 
 // popValid removes and returns the maximum in-edge of forest node cur
 // whose source lies outside cur, discarding internal edges along the way.
 // ok is false when cur has no external in-edge left.
-func (t *tarjan) popValid(cur int32) (edge int32, key float64, ok bool) {
-	h := t.heapOf[cur]
-	rep := t.find(t.minOrig[cur])
+func (s *Solver) popValid(cur int32) (edge int32, key float64, ok bool) {
+	h := s.heapOf[cur]
+	rep := s.find(s.minOrig[cur])
 	for h >= 0 {
-		nh := &t.hnodes[h]
+		nh := &s.hnodes[h]
 		e, k := nh.edge, nh.key
-		h = t.pop(h)
-		if t.find(t.edges[e].from) == rep {
+		h = s.pop(h)
+		if s.find(s.edges[e].from) == rep {
 			continue // source was contracted into cur: discard
 		}
-		t.heapOf[cur] = h
+		s.heapOf[cur] = h
 		return e, k, true
 	}
-	t.heapOf[cur] = -1
+	s.heapOf[cur] = -1
 	return -1, 0, false
 }
 
 // meld merges two skew heaps (max at the root) and returns the new root.
 // Equal keys keep the left (earlier) argument on top, which makes heap
 // order — and with it the whole kernel — deterministic.
-func (t *tarjan) meld(a, b int32) int32 {
+func (s *Solver) meld(a, b int32) int32 {
 	if a < 0 {
 		return b
 	}
 	if b < 0 {
 		return a
 	}
-	t.stats.heapMelds++
-	if t.hnodes[a].key < t.hnodes[b].key {
+	s.work.HeapMelds++
+	if s.hnodes[a].key < s.hnodes[b].key {
 		a, b = b, a
 	}
-	t.pushdown(a)
-	na := &t.hnodes[a]
-	na.r = t.meld(na.r, b)
+	s.pushdown(a)
+	na := &s.hnodes[a]
+	na.r = s.meld(na.r, b)
 	na.l, na.r = na.r, na.l
 	return a
 }
 
 // pop removes the root of heap x and returns the new root.
-func (t *tarjan) pop(x int32) int32 {
-	t.stats.heapPops++
-	t.pushdown(x)
-	return t.meld(t.hnodes[x].l, t.hnodes[x].r)
+func (s *Solver) pop(x int32) int32 {
+	s.work.HeapPops++
+	s.pushdown(x)
+	return s.meld(s.hnodes[x].l, s.hnodes[x].r)
 }
 
 // pushdown propagates x's pending lazy offset to its children.
-func (t *tarjan) pushdown(x int32) {
-	nx := &t.hnodes[x]
+func (s *Solver) pushdown(x int32) {
+	nx := &s.hnodes[x]
 	if nx.lazy == 0 {
 		return
 	}
 	d := nx.lazy
 	nx.lazy = 0
 	if l := nx.l; l >= 0 {
-		t.hnodes[l].key += d
-		t.hnodes[l].lazy += d
+		s.hnodes[l].key += d
+		s.hnodes[l].lazy += d
 	}
 	if r := nx.r; r >= 0 {
-		t.hnodes[r].key += d
-		t.hnodes[r].lazy += d
+		s.hnodes[r].key += d
+		s.hnodes[r].lazy += d
 	}
 }
 
 // find is union-find lookup with path halving.
-func (t *tarjan) find(v int32) int32 {
-	for t.dsuP[v] != v {
-		t.dsuP[v] = t.dsuP[t.dsuP[v]]
-		v = t.dsuP[v]
+func (s *Solver) find(v int32) int32 {
+	for s.dsuP[v] != v {
+		s.dsuP[v] = s.dsuP[s.dsuP[v]]
+		v = s.dsuP[v]
 	}
 	return v
 }
 
 // union links the sets of a and b by size and returns the new root.
-func (t *tarjan) union(a, b int32) int32 {
-	ra, rb := t.find(a), t.find(b)
+func (s *Solver) union(a, b int32) int32 {
+	ra, rb := s.find(a), s.find(b)
 	if ra == rb {
 		return ra
 	}
-	if t.dsuSz[ra] < t.dsuSz[rb] {
+	if s.dsuSz[ra] < s.dsuSz[rb] {
 		ra, rb = rb, ra
 	}
-	t.dsuP[rb] = ra
-	t.dsuSz[ra] += t.dsuSz[rb]
+	s.dsuP[rb] = ra
+	s.dsuSz[ra] += s.dsuSz[rb]
 	return ra
 }
 
@@ -386,4 +322,20 @@ func growInt8(s []int8, n int) []int8 {
 		return make([]int8, n)
 	}
 	return s[:n]
+}
+
+// growInt32 returns s with capacity (and length) at least n.
+func growInt32(s []int32, n int) []int32 {
+	if cap(s) < n {
+		return make([]int32, n)
+	}
+	return s[:n]
+}
+
+// reserveInt32 returns s emptied, with capacity at least c.
+func reserveInt32(s []int32, c int) []int32 {
+	if cap(s) < c {
+		return make([]int32, 0, c)
+	}
+	return s[:0]
 }

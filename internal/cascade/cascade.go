@@ -371,7 +371,7 @@ type extractScratch struct {
 	localOf  []int32
 	order    []int32 // BFS order of one tree, component indices
 	roots    []int
-	slv      *arbor.Solver
+	slv      arbor.Solver
 	acc      *obs.Accum
 }
 
@@ -380,7 +380,7 @@ type extractScratch struct {
 // repeated detections — server requests, experiment trials — pay only for
 // the trees they return. Pooled scratches hold no recorder state.
 var scratchPool = sync.Pool{
-	New: func() any { return &extractScratch{slv: arbor.New(arbor.Options{})} },
+	New: func() any { return new(extractScratch) },
 }
 
 func getExtractScratch(rec *obs.Recorder, subNodes int) *extractScratch {

@@ -265,7 +265,7 @@ func referenceExtractComponent(snap *Snapshot, sub *sgraph.Subgraph, comp []int,
 			cands = append(cands, cand{sign: e.Sign, weight: e.Weight})
 		})
 	}
-	slv := arbor.New(arbor.Options{})
+	slv := new(arbor.Solver)
 	parents, _, err := slv.MaxForest(len(comp), edges, cfg.RootScore)
 	if err != nil {
 		return nil, fmt.Errorf("cascade: component %d: %w", compIdx, err)

@@ -52,8 +52,8 @@ const cancelCheckInterval = 256
 
 // ExactSmallContext is ExactSmall with cooperative cancellation: the subset
 // enumeration checks ctx periodically and returns ctx.Err() as soon as the
-// deadline passes or the caller cancels. Serving layers use this to bound
-// the exponential solver with a per-request deadline.
+// deadline passes or the caller cancels, so a caller can bound the
+// exponential solver with a deadline.
 func ExactSmallContext(ctx context.Context, g *sgraph.Graph, states []sgraph.State, cfg ExactConfig) (*ExactResult, error) {
 	if len(states) != g.NumNodes() {
 		return nil, fmt.Errorf("isomit: %d states for %d nodes", len(states), g.NumNodes())

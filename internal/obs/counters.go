@@ -87,28 +87,21 @@ func (h *WorkHist) zero() bool {
 	return true
 }
 
-// ArborCounters instruments the arborescence kernels (internal/arbor).
+// ArborCounters instruments the arborescence kernel (internal/arbor).
 type ArborCounters struct {
-	// TarjanSolves / ContractSolves count arborescence solves by kernel
-	// (MaxForest counts once, via its internal MaxArborescence).
-	TarjanSolves   int64 `json:"tarjan_solves,omitempty"`
-	ContractSolves int64 `json:"contract_solves,omitempty"`
-	// EdgesStaged is the number of candidate edges surviving the kernels'
+	// TarjanSolves counts arborescence solves (MaxForest counts once, via
+	// its internal MaxArborescence).
+	TarjanSolves int64 `json:"tarjan_solves,omitempty"`
+	// EdgesStaged is the number of candidate edges surviving the kernel's
 	// input filter (self-loops and root in-edges dropped), summed over
 	// solves.
 	EdgesStaged int64 `json:"edges_staged,omitempty"`
-	// HeapMelds / HeapPops count skew-heap operations of the Tarjan kernel
-	// (melds include recursive steps, so this is total heap work).
+	// HeapMelds / HeapPops count skew-heap operations (melds include
+	// recursive steps, so this is total heap work).
 	HeapMelds int64 `json:"heap_melds,omitempty"`
 	HeapPops  int64 `json:"heap_pops,omitempty"`
-	// CyclesContracted counts cycle contractions (super-vertices created
-	// by Tarjan, cycles resolved per level by Contract).
+	// CyclesContracted counts cycle contractions (super-vertices created).
 	CyclesContracted int64 `json:"cycles_contracted,omitempty"`
-	// ContractLevels counts contraction rounds of the Contract kernel
-	// (including the final acyclic round); EdgeRescans the edges it
-	// re-scanned across those rounds — the O(n m) term Tarjan removes.
-	ContractLevels int64 `json:"contract_levels,omitempty"`
-	EdgeRescans    int64 `json:"edge_rescans,omitempty"`
 }
 
 // CascadeCounters instruments forest extraction (internal/cascade).
@@ -204,13 +197,10 @@ func (c *CounterSet) Merge(o *CounterSet) {
 		return
 	}
 	c.Arbor.TarjanSolves += o.Arbor.TarjanSolves
-	c.Arbor.ContractSolves += o.Arbor.ContractSolves
 	c.Arbor.EdgesStaged += o.Arbor.EdgesStaged
 	c.Arbor.HeapMelds += o.Arbor.HeapMelds
 	c.Arbor.HeapPops += o.Arbor.HeapPops
 	c.Arbor.CyclesContracted += o.Arbor.CyclesContracted
-	c.Arbor.ContractLevels += o.Arbor.ContractLevels
-	c.Arbor.EdgeRescans += o.Arbor.EdgeRescans
 	c.Cascade.InfectedNodes += o.Cascade.InfectedNodes
 	c.Cascade.Components += o.Cascade.Components
 	c.Cascade.Trees += o.Cascade.Trees
@@ -261,13 +251,10 @@ func (c *CounterSet) Each(fn func(name string, v int64)) {
 		}
 	}
 	emit("arbor_tarjan_solves", c.Arbor.TarjanSolves)
-	emit("arbor_contract_solves", c.Arbor.ContractSolves)
 	emit("arbor_edges_staged", c.Arbor.EdgesStaged)
 	emit("arbor_heap_melds", c.Arbor.HeapMelds)
 	emit("arbor_heap_pops", c.Arbor.HeapPops)
 	emit("arbor_cycles_contracted", c.Arbor.CyclesContracted)
-	emit("arbor_contract_levels", c.Arbor.ContractLevels)
-	emit("arbor_edge_rescans", c.Arbor.EdgeRescans)
 	emit("cascade_infected_nodes", c.Cascade.InfectedNodes)
 	emit("cascade_components", c.Cascade.Components)
 	emit("cascade_trees", c.Cascade.Trees)

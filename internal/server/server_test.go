@@ -73,6 +73,31 @@ func newTestServer(tb testing.TB, cfg Config) (*Server, *httptest.Server) {
 	return s, ts
 }
 
+// TestDetectIdentityOnlyTruth sends a trace whose ground truth is seeds
+// without seed states: the response still scores the detection, with the
+// same identity metrics as the full trace.
+func TestDetectIdentityOnlyTruth(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	tr := sampleTrace(t, 1, 300, 1800, 6)
+	var want, got DetectResponse
+	for _, out := range []*DetectResponse{&want, &got} {
+		resp, body := postJSON(t, ts, "/v1/detect", DetectRequest{Trace: tr, Detector: "rid", Beta: 0.3})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status = %d, body %s", resp.StatusCode, body)
+		}
+		if err := json.Unmarshal(body, out); err != nil {
+			t.Fatal(err)
+		}
+		tr.SeedStates = nil
+	}
+	if got.Truth == nil {
+		t.Fatal("seeds-only trace: response has no truth block")
+	}
+	if *got.Truth != *want.Truth {
+		t.Errorf("seeds-only truth = %+v, full trace %+v", *got.Truth, *want.Truth)
+	}
+}
+
 func TestDetectRoundTrip(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	tr := sampleTrace(t, 1, 300, 1800, 6)

@@ -17,7 +17,8 @@ type Observation struct {
 	// Rounds optionally carries partial first-infection timestamps
 	// (-1 = unknown), aligned with Observed.
 	Rounds []int32 `json:"rounds,omitempty"`
-	// Seeds and SeedStates are the ground truth (optional).
+	// Seeds and SeedStates are the ground truth (optional). SeedStates is
+	// empty (identity-only truth) or holds one state per seed.
 	Seeds      []int  `json:"seeds,omitempty"`
 	SeedStates []int8 `json:"seed_states,omitempty"`
 }
@@ -70,7 +71,7 @@ func (o *Observation) Validate(nodes int) error {
 			return fmt.Errorf("trace: rounds[%d]: invalid round %d (want -1 or >= 0)", i, r)
 		}
 	}
-	if len(o.Seeds) > 0 && len(o.SeedStates) != 0 && len(o.SeedStates) != len(o.Seeds) {
+	if len(o.SeedStates) != 0 && len(o.SeedStates) != len(o.Seeds) {
 		return fmt.Errorf("trace: %d seed states for %d seeds", len(o.SeedStates), len(o.Seeds))
 	}
 	seenSeed := make(map[int]bool, len(o.Seeds))
@@ -126,10 +127,15 @@ func (o *Observation) states() ([]sgraph.State, error) {
 	return states, nil
 }
 
-// GroundTruth decodes the seed set and states, or nil if absent.
+// GroundTruth decodes the seed set and states, or nil if absent. Seeds
+// without seed states are identity-only ground truth: the seeds come back
+// with nil states.
 func (o *Observation) GroundTruth() ([]int, []sgraph.State, error) {
 	if len(o.Seeds) == 0 {
 		return nil, nil, nil
+	}
+	if len(o.SeedStates) == 0 {
+		return append([]int(nil), o.Seeds...), nil, nil
 	}
 	if len(o.SeedStates) != len(o.Seeds) {
 		return nil, nil, fmt.Errorf("trace: %d seed states for %d seeds", len(o.SeedStates), len(o.Seeds))

@@ -33,7 +33,8 @@ type Trace struct {
 	// Rounds optionally carries partial first-infection timestamps
 	// (-1 = unknown), aligned with Observed.
 	Rounds []int32 `json:"rounds,omitempty"`
-	// Seeds and SeedStates are the ground truth (optional).
+	// Seeds and SeedStates are the ground truth (optional). SeedStates is
+	// empty (identity-only truth) or holds one state per seed.
 	Seeds      []int  `json:"seeds,omitempty"`
 	SeedStates []int8 `json:"seed_states,omitempty"`
 }

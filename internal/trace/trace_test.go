@@ -112,9 +112,13 @@ func TestValidation(t *testing.T) {
 	if _, err := (&Trace{Version: Version, Nodes: 1, Observed: []int8{5}}).Snapshot(); err == nil {
 		t.Error("bad state code should error")
 	}
-	bad := &Trace{Seeds: []int{1}, SeedStates: nil}
+	bad := &Trace{Seeds: []int{1}, SeedStates: []int8{1, -1}}
 	if _, _, err := bad.GroundTruth(); err == nil {
 		t.Error("seed/state mismatch should error")
+	}
+	idOnly := &Trace{Seeds: []int{1}}
+	if s, st, err := idOnly.GroundTruth(); !reflect.DeepEqual(s, []int{1}) || st != nil || err != nil {
+		t.Errorf("identity-only ground truth = %v, %v, %v; want [1], nil states, nil error", s, st, err)
 	}
 	none := &Trace{}
 	if s, st, err := none.GroundTruth(); s != nil || st != nil || err != nil {
@@ -156,6 +160,7 @@ func TestValidateRejectsMalformedInstances(t *testing.T) {
 		{"seed out of range", func(tr *Trace) { tr.Seeds = []int{3}; tr.SeedStates = []int8{1} }},
 		{"duplicate seed", func(tr *Trace) { tr.Seeds = []int{1, 1}; tr.SeedStates = []int8{1, 1} }},
 		{"seed state mismatch", func(tr *Trace) { tr.Seeds = []int{0, 1}; tr.SeedStates = []int8{1} }},
+		{"seed states without seeds", func(tr *Trace) { tr.SeedStates = []int8{1} }},
 		{"seed state not concrete", func(tr *Trace) { tr.Seeds = []int{0}; tr.SeedStates = []int8{9} }},
 	}
 	for _, tc := range cases {
@@ -302,6 +307,9 @@ func FuzzTraceDecode(f *testing.F) {
 		if tr.Validate() != nil {
 			return
 		}
+		if _, _, err := tr.GroundTruth(); err != nil {
+			t.Fatalf("Validate-clean trace: GroundTruth: %v", err)
+		}
 		bin, err := UnmarshalBinary(MarshalBinary(tr))
 		if err != nil {
 			t.Fatalf("binary round trip: %v", err)
@@ -342,8 +350,7 @@ func FuzzTraceDecode(f *testing.F) {
 
 // canonical returns a copy of t in the form both codecs reproduce: empty
 // slices as nil (JSON omits empty optional fields, RIDT always allocates
-// edges and observed states), and no seed states without seeds (RIDT has no
-// place for them; GroundTruth ignores them).
+// edges and observed states).
 func canonical(t *Trace) *Trace {
 	c := *t
 	if len(c.Edges) == 0 {
@@ -356,7 +363,7 @@ func canonical(t *Trace) *Trace {
 		c.Rounds = nil
 	}
 	if len(c.Seeds) == 0 {
-		c.Seeds, c.SeedStates = nil, nil
+		c.Seeds = nil
 	}
 	if len(c.SeedStates) == 0 {
 		c.SeedStates = nil

@@ -6,8 +6,9 @@
 # serial code — BenchmarkMFCSimulation (no pipeline parallelism) is the
 # control that bounds the artifact; host_cpus, gomaxprocs and host_model
 # record the hardware the numbers came from. ArborKernels/{tarjan,contract}
-# is the single-threaded arborescence-kernel micro-benchmark comparing the
-# two solver algorithms. IncrementalDetect/{full,delta} compares one-shot
+# (./internal/arbor) is the single-threaded arborescence micro-benchmark:
+# the production Tarjan kernel against the contraction-loop test oracle
+# that only the arbor package's tests can reach. IncrementalDetect/{full,delta} compares one-shot
 # detection against the event-sourced session path answering from a warm
 # per-component cache. DetectBatch vs DetectSequential is 32 detections as
 # one /v1/detect/batch vs 32 individual /v1/detect round trips.
@@ -29,7 +30,7 @@ BENCHES='BenchmarkRIDEndToEnd$|BenchmarkForestExtraction$|BenchmarkMFCSimulation
 # fixed low -benchtime Nx they sample a few ms of wall clock and swing
 # past the bench_diff threshold run to run on a shared host), while the
 # ~0.6s/op sequential baseline still runs just one.
-RAW=$(go test -run '^$' -bench "$BENCHES" -benchmem -benchtime 300ms -cpu 1,4 . ./internal/server/ ./internal/sgraph/)
+RAW=$(go test -run '^$' -bench "$BENCHES" -benchmem -benchtime 300ms -cpu 1,4 . ./internal/arbor/ ./internal/server/ ./internal/sgraph/)
 echo "$RAW"
 
 host_model=$(awk -F: '/model name/ { gsub(/^[ \t]+/, "", $2); print $2; exit }' /proc/cpuinfo 2>/dev/null || true)
