@@ -17,7 +17,7 @@ ridbench-check:
 	$(GO) -C ridbench test ./...
 
 race:
-	$(GO) test -race ./internal/obs/ ./internal/diffusion/ ./internal/core/ ./internal/cascade/ ./internal/arbor/ ./internal/isomit/ ./internal/sgraph/ ./internal/par/ ./internal/influence/ ./internal/experiment/ ./internal/ingest/ ./internal/trace/ ./internal/server/ ./internal/profiling/ .
+	$(GO) test -race ./internal/obs/ ./internal/diffusion/ ./internal/core/ ./internal/cascade/ ./internal/arbor/ ./internal/isomit/ ./internal/sgraph/ ./internal/par/ ./internal/experiment/ ./internal/ingest/ ./internal/trace/ ./internal/server/ ./internal/profiling/ .
 
 # fuzz-smoke runs the arbor kernel-equivalence fuzzer, the two trace
 # decoder fuzzers and the RIDG snapshot decoder fuzzer briefly; CI does the

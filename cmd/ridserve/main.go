@@ -33,19 +33,17 @@
 // SIGTERM triggers a graceful drain.
 //
 // Observability: /metrics serves JSON by default and the Prometheus text
-// format with ?format=prometheus, including algorithm-depth counters, SLO
-// burn rates, session gauges and Go runtime health. Requests are
-// access-logged via slog (-log-level, -log-format) under a W3C trace
-// context: an inbound traceparent header is honored (tracestate validated,
-// malformed ones dropped per spec), a request without one starts a fresh
-// trace, and the response carries this hop's traceparent. Completed requests
+// format with ?format=prometheus, including algorithm-depth counters,
+// session gauges and Go runtime health. Requests are access-logged via
+// slog (-log-level, -log-format) under a W3C trace context: an inbound
+// traceparent header is honored (tracestate validated, malformed ones
+// dropped per spec), a request without one starts a fresh trace, and the
+// response carries this hop's traceparent. Completed requests
 // export as OTLP/JSON spans — stages as child spans, work and algorithm
 // counters as attributes — to an OTLP/HTTP collector (-otlp-endpoint)
 // and/or an NDJSON capture file (-otlp-file), under tail-based sampling:
 // failed and slow requests always export, the rest keep a deterministic
-// -otlp-sample fraction by trace id so replicas agree. Per-route SLO burn
-// rates against -slo-target / -slo-latency-ms are tracked over 5m/30m/1h/6h
-// windows and served in /metrics and on /debug/slo. The flight recorder
+// -otlp-sample fraction by trace id so replicas agree. The flight recorder
 // retains the last -flight completed compute requests (slow or failed ones
 // pinned past eviction; -slow sets the threshold) and serves them on
 // /debug/requests as an HTML table with per-request drill-down, or JSON
@@ -68,7 +66,6 @@
 //	         [-flight 128] [-slow 1s] [-max-sessions 64] [-session-ttl 15m]
 //	         [-snapshot-dir dir]
 //	         [-otlp-endpoint url] [-otlp-file path] [-otlp-sample 1]
-//	         [-slo-target 0.99] [-slo-latency-ms 500]
 //	         [-profile-interval 0] [-profile-window 0]
 //	         [-log-level info] [-log-format text] [-debug-addr addr]
 //
@@ -121,8 +118,6 @@ type options struct {
 	otlpEndpoint string
 	otlpFile     string
 	otlpSample   float64
-	sloTarget    float64
-	sloLatencyMS int
 	snapshotDir  string
 	profInterval time.Duration
 	profWindow   time.Duration
@@ -147,8 +142,6 @@ func main() {
 	flag.StringVar(&o.otlpFile, "otlp-file", "", "NDJSON file appending one OTLP/JSON export request per line (empty = no file sink)")
 	flag.Float64Var(&o.otlpSample, "otlp-sample", 1, "fraction of ordinary requests to export, decided deterministically from the trace id; failed and slow requests always export")
 	flag.StringVar(&o.snapshotDir, "snapshot-dir", "", "directory persisting built networks as CSR snapshot files for warm restarts (empty = disabled)")
-	flag.Float64Var(&o.sloTarget, "slo-target", 0.99, "per-route availability objective in (0,1)")
-	flag.IntVar(&o.sloLatencyMS, "slo-latency-ms", 500, "per-route latency objective in milliseconds")
 	flag.DurationVar(&o.profInterval, "profile-interval", 0, "continuous-profiler duty cycle: capture one CPU window every interval (0 = profiler off)")
 	flag.DurationVar(&o.profWindow, "profile-window", 0, "CPU capture window length (0 = interval/50, at most 10s)")
 	logCfg := cli.LogFlags()
@@ -189,10 +182,6 @@ func validate(o *options) error {
 		return cli.Usagef("-session-ttl must be positive, got %v", o.sessTTL)
 	case o.otlpSample < 0 || o.otlpSample > 1:
 		return cli.Usagef("-otlp-sample must be in [0,1], got %g", o.otlpSample)
-	case o.sloTarget <= 0 || o.sloTarget >= 1:
-		return cli.Usagef("-slo-target must be in (0,1), got %g", o.sloTarget)
-	case o.sloLatencyMS < 1:
-		return cli.Usagef("-slo-latency-ms must be positive, got %d", o.sloLatencyMS)
 	case o.profInterval < 0:
 		return cli.Usagef("-profile-interval must be non-negative, got %v", o.profInterval)
 	case o.profWindow < 0:
@@ -232,8 +221,6 @@ func run(o *options) error {
 		MaxSessions:    o.maxSess,
 		SessionTTL:     o.sessTTL,
 		Exporter:       exporter,
-		SLOTarget:      o.sloTarget,
-		SLOLatency:     time.Duration(o.sloLatencyMS) * time.Millisecond,
 		Snapshots:      snapshots,
 		Profiler:       profiling.NewProfiler(profiling.Config{Interval: o.profInterval, Window: o.profWindow}),
 	})

@@ -199,12 +199,10 @@ func (c Config) Score(sign sgraph.Sign, w float64, su, sv sgraph.State) float64 
 	default: // ModeBoosted
 		consistent := su == sgraph.StateUnknown || sv == sgraph.StateUnknown ||
 			sgraph.StateOf(su, sign) == sv
-		if !consistent {
-			score = cfg.InconsistentFloor
-		} else if sign == sgraph.Positive {
-			score = math.Min(1, cfg.Alpha*w)
+		if consistent {
+			score = sgraph.LinkProbability(sign, w, cfg.Alpha)
 		} else {
-			score = w
+			score = cfg.InconsistentFloor
 		}
 	}
 	if score < cfg.WeightFloor {

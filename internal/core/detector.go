@@ -10,9 +10,11 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/cascade"
 	"repro/internal/sgraph"
@@ -36,23 +38,33 @@ type Detection struct {
 	Trees, Components int
 }
 
-// Ranked returns the initiators ordered by descending confidence (stable
-// on ties by node ID). Detections without confidence come back in ID
-// order.
-func (d *Detection) Ranked() []int {
-	out := append([]int(nil), d.Initiators...)
-	if d.Confidence == nil {
-		return out
+// Order returns the positions of d's initiators (indexes into
+// Initiators, States and Confidence) in rank order: descending confidence,
+// then ascending node ID, which also orders detections without
+// confidence. Node IDs are unique, so the order is total.
+func (d *Detection) Order() []int {
+	order := make([]int, len(d.Initiators))
+	for i := range order {
+		order[i] = i
 	}
-	conf := append([]float64(nil), d.Confidence...)
-	// insertion sort by confidence desc; detection lists are small
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && conf[j] > conf[j-1]; j-- {
-			conf[j], conf[j-1] = conf[j-1], conf[j]
-			out[j], out[j-1] = out[j-1], out[j]
+	slices.SortFunc(order, func(a, b int) int {
+		if d.Confidence != nil {
+			if c := cmp.Compare(d.Confidence[b], d.Confidence[a]); c != 0 {
+				return c
+			}
 		}
+		return cmp.Compare(d.Initiators[a], d.Initiators[b])
+	})
+	return order
+}
+
+// Ranked returns the initiators in rank order (see Order).
+func (d *Detection) Ranked() []int {
+	order := d.Order()
+	for i, p := range order {
+		order[i] = d.Initiators[p]
 	}
-	return out
+	return order
 }
 
 // Detector identifies rumor initiators from an infected-network snapshot.

@@ -207,16 +207,10 @@ func (c MFCConfig) validate() error {
 }
 
 // BoostedWeight returns the MFC activation probability of a diffusion link
-// with the given sign and weight under boosting coefficient alpha:
-// min(1, alpha*w) for positive links, w for negative links.
+// with the given sign and weight under boosting coefficient alpha; see
+// sgraph.LinkProbability.
 func BoostedWeight(sign sgraph.Sign, w, alpha float64) float64 {
-	if sign == sgraph.Positive {
-		if bw := alpha * w; bw < 1 {
-			return bw
-		}
-		return 1
-	}
-	return w
+	return sgraph.LinkProbability(sign, w, alpha)
 }
 
 // MFC runs Algorithm 1 over the diffusion network g (edges oriented in the

@@ -42,10 +42,7 @@ func G(su sgraph.State, sign sgraph.Sign, sv sgraph.State, w, alpha float64) flo
 	if sgraph.StateOf(su, sign) != sv {
 		return 0
 	}
-	if sign == sgraph.Positive {
-		return math.Min(1, alpha*w)
-	}
-	return w
+	return sgraph.LinkProbability(sign, w, alpha)
 }
 
 // PathOpts bounds the exact path enumeration. Enumerating all paths is

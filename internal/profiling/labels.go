@@ -4,8 +4,8 @@
 // profiler that captures short CPU-profile windows on a duty cycle, and a
 // hand-rolled pprof-protobuf decoder that folds those windows into
 // per-label, per-function aggregates. Together they close the triangle
-// metrics → traces → profiles: a burn-rate page links to a trace, and the
-// trace's route/stage links to where the CPU actually went.
+// metrics → traces → profiles: a latency bucket's exemplar links to a
+// trace, and the trace's route/stage links to where the CPU actually went.
 //
 // The package is stdlib-only and a leaf dependency: the server wraps
 // requests in Do, the pipeline's stage label is switched by the same

@@ -352,8 +352,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}, s.cache.Len(), s.cache.Capacity())
 	sessions := s.sessions.Stats()
 	snap.Sessions = &sessions
-	slo := s.slo.Snapshot()
-	snap.SLO = &slo
 	if s.exporter != nil {
 		export := s.exporter.Stats()
 		snap.Export = &export

@@ -257,10 +257,6 @@ type Snapshot struct {
 	// cumulative evictions and capacity rejections). Populated by the
 	// /metrics handler, which owns the session manager.
 	Sessions *ingest.ManagerStats `json:"sessions,omitempty"`
-	// SLO reports per-route multi-window burn rates against the configured
-	// availability and latency objectives. Populated by the /metrics
-	// handler.
-	SLO *obs.SLOSnapshot `json:"slo,omitempty"`
 	// Export reports OTLP span-exporter counters. Populated by the
 	// /metrics handler when an exporter is configured.
 	Export *obs.ExporterStats `json:"export,omitempty"`

@@ -114,56 +114,6 @@ func renderMetricFamilies(p *obs.PromWriter, s *Snapshot) {
 		p.IntSample("ridserve_sessions_rejected_total", nil, sess.Rejected)
 	}
 
-	if slo := s.SLO; slo != nil {
-		p.Header("ridserve_slo_target", "Configured per-route availability objective.", "gauge")
-		p.Sample("ridserve_slo_target", nil, slo.Target)
-		p.Header("ridserve_slo_latency_objective_seconds", "Configured per-route latency objective.", "gauge")
-		p.Sample("ridserve_slo_latency_objective_seconds", nil, float64(slo.LatencyObjectiveMS)/1000)
-		if len(slo.Routes) > 0 {
-			p.Header("ridserve_slo_burn_rate",
-				"Error-budget burn rate by route, window and objective (1 = spending the whole budget over the SLO period).",
-				"gauge")
-			for _, route := range slo.Routes {
-				for _, win := range route.Windows {
-					p.Sample("ridserve_slo_burn_rate", []obs.PromLabel{
-						{Name: "route", Value: route.Route},
-						{Name: "window", Value: win.Window},
-						{Name: "objective", Value: "availability"},
-					}, win.BurnRate)
-					p.Sample("ridserve_slo_burn_rate", []obs.PromLabel{
-						{Name: "route", Value: route.Route},
-						{Name: "window", Value: win.Window},
-						{Name: "objective", Value: "latency"},
-					}, win.LatencyBurnRate)
-				}
-			}
-			p.Header("ridserve_slo_window_requests", "Requests observed per route and window.", "gauge")
-			for _, route := range slo.Routes {
-				for _, win := range route.Windows {
-					p.IntSample("ridserve_slo_window_requests", []obs.PromLabel{
-						{Name: "route", Value: route.Route},
-						{Name: "window", Value: win.Window},
-					}, win.Requests)
-				}
-			}
-			p.Header("ridserve_slo_window_errors", "Failed requests (5xx or shed) per route and window.", "gauge")
-			for _, route := range slo.Routes {
-				for _, win := range route.Windows {
-					p.IntSample("ridserve_slo_window_errors", []obs.PromLabel{
-						{Name: "route", Value: route.Route},
-						{Name: "window", Value: win.Window},
-					}, win.Errors)
-				}
-			}
-			p.Header("ridserve_slo_error_budget_remaining",
-				"Fraction of the 6h error budget left per route (negative = overspent).", "gauge")
-			for _, route := range slo.Routes {
-				p.Sample("ridserve_slo_error_budget_remaining",
-					[]obs.PromLabel{{Name: "route", Value: route.Route}}, route.BudgetRemaining)
-			}
-		}
-	}
-
 	if ex := s.Export; ex != nil {
 		p.Header("ridserve_otlp_enqueued_total", "Request telemetry accepted for OTLP export.", "counter")
 		p.IntSample("ridserve_otlp_enqueued_total", nil, ex.Enqueued)

@@ -28,7 +28,7 @@ func TestPrometheusConformance(t *testing.T) {
 	if resp, _ := postJSON(t, ts, "/v1/detect", DetectRequest{Trace: tr, Detector: "nope"}); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad detector status = %d, want 400", resp.StatusCode)
 	}
-	// Session traffic so the session gauges and a second SLO route appear.
+	// Session traffic so the session gauges appear.
 	if resp, body := postJSON(t, ts, "/v1/sessions", SessionRequest{GraphHash: tr.NetworkHash(), Beta: 0.3}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("session create status = %d, body %s", resp.StatusCode, body)
 	}
@@ -53,14 +53,6 @@ func TestPrometheusConformance(t *testing.T) {
 		"ridserve_sessions_active ",
 		"ridserve_sessions_evicted_total ",
 		"ridserve_sessions_rejected_total ",
-		"ridserve_slo_target ",
-		"ridserve_slo_latency_objective_seconds ",
-		`ridserve_slo_burn_rate{route="detect",window="5m",objective="availability"}`,
-		`ridserve_slo_burn_rate{route="detect",window="6h",objective="latency"}`,
-		`ridserve_slo_burn_rate{route="session_create",window="1h",objective="availability"}`,
-		`ridserve_slo_window_requests{route="detect",window="5m"}`,
-		`ridserve_slo_window_errors{route="detect",window="30m"}`,
-		`ridserve_slo_error_budget_remaining{route="detect"}`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("exposition missing %q", want)

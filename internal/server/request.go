@@ -7,7 +7,6 @@ import (
 	"io/fs"
 	"log/slog"
 	"net/http"
-	"sort"
 	"time"
 
 	"repro/internal/core"
@@ -174,27 +173,22 @@ func detectObservation(ctx context.Context, o *trace.Observation, g *sgraph.Grap
 	return res, nil
 }
 
-// rankInitiators orders a detection by descending confidence (ties and
-// unscored detectors by ascending node ID) and truncates to k when k > 0.
+// rankInitiators maps a detection's rank order (core.Detection.Order) to
+// the response form and truncates it to k when k > 0.
 func rankInitiators(det *core.Detection, k int) []RankedInitiator {
-	out := make([]RankedInitiator, len(det.Initiators))
-	for i, v := range det.Initiators {
-		out[i] = RankedInitiator{Node: v}
+	order := det.Order()
+	if k > 0 && k < len(order) {
+		order = order[:k]
+	}
+	out := make([]RankedInitiator, len(order))
+	for i, p := range order {
+		out[i] = RankedInitiator{Node: det.Initiators[p]}
 		if det.States != nil {
-			out[i].State = int8(det.States[i])
+			out[i].State = int8(det.States[p])
 		}
 		if det.Confidence != nil {
-			out[i].Score = det.Confidence[i]
+			out[i].Score = det.Confidence[p]
 		}
-	}
-	sort.SliceStable(out, func(a, b int) bool {
-		if out[a].Score != out[b].Score {
-			return out[a].Score > out[b].Score
-		}
-		return out[a].Node < out[b].Node
-	})
-	if k > 0 && k < len(out) {
-		out = out[:k]
 	}
 	return out
 }

@@ -75,12 +75,6 @@ type Config struct {
 	// Shutdown flushes and closes it. Constructed by the caller so sink
 	// errors (bad endpoint, unwritable file) surface at startup.
 	Exporter *obs.Exporter
-	// SLOTarget is the per-route availability objective in (0,1); zero
-	// defaults to 0.99.
-	SLOTarget float64
-	// SLOLatency is the per-route latency objective; zero defaults to
-	// 500ms.
-	SLOLatency time.Duration
 	// Snapshots, when non-nil, persists built networks as CSR snapshot
 	// files keyed by content hash, letting restarts and replicas warm-load
 	// graphs (zero-copy mmap) instead of rebuilding them from wire traces.
@@ -136,7 +130,6 @@ type Server struct {
 	reg       *Registry
 	flight    *obs.FlightRecorder
 	sessions  *ingest.Manager
-	slo       *obs.SLOTracker
 	exporter  *obs.Exporter
 	profiler  *profiling.Profiler
 	mux       *http.ServeMux
@@ -153,7 +146,6 @@ func New(cfg Config) *Server {
 		snapshots: cfg.Snapshots,
 		reg:       NewRegistry(),
 		sessions:  ingest.NewManager(ingest.ManagerConfig{MaxSessions: cfg.MaxSessions, TTL: cfg.SessionTTL}),
-		slo:       obs.NewSLOTracker(obs.SLOConfig{Target: cfg.SLOTarget, Latency: cfg.SLOLatency}),
 		exporter:  cfg.Exporter,
 		profiler:  cfg.Profiler,
 		mux:       http.NewServeMux(),
@@ -172,7 +164,6 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.instrument("metrics", s.handleMetrics))
 	s.mux.HandleFunc("GET /debug/requests", s.instrument("debug_requests", s.handleDebugRequests))
-	s.mux.HandleFunc("GET /debug/slo", s.instrument("debug_slo", s.handleDebugSLO))
 	s.mux.HandleFunc("GET /debug/hotspots", s.instrument("debug_hotspots", s.handleDebugHotspots))
 	s.http = &http.Server{
 		Addr:              cfg.Addr,
@@ -200,7 +191,6 @@ func (s *Server) DebugHandler() http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle("/", DebugHandler())
 	mux.HandleFunc("GET /debug/requests", s.handleDebugRequests)
-	mux.HandleFunc("GET /debug/slo", s.handleDebugSLO)
 	mux.HandleFunc("GET /debug/hotspots", s.handleDebugHotspots)
 	return mux
 }
@@ -239,11 +229,10 @@ func (r *statusRecorder) WriteHeader(status int) {
 
 // instrument wraps a handler with request counting, route latency, W3C
 // trace-context propagation (inbound traceparent honored, the response
-// carries this hop's traceparent), SLO accounting, tail-sampled OTLP span
-// export, and a structured access log. The trace context and a mutable
-// telemetry slot travel via context so handlers hand their pipeline
-// Recorder and span links back up for export after the response is
-// written.
+// carries this hop's traceparent), tail-sampled OTLP span export, and a
+// structured access log. The trace context and a mutable telemetry slot
+// travel via context so handlers hand their pipeline Recorder and span
+// links back up for export after the response is written.
 func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
@@ -265,7 +254,6 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 		elapsed := time.Since(start)
 		s.reg.CountRequest(route, rec.status)
 		s.reg.ObserveExemplar("route."+route, elapsed, tc.TraceID)
-		s.slo.Record(route, rec.status, elapsed)
 		if s.exporter != nil {
 			pipeRec, links, detail := slot.Snapshot()
 			s.exporter.Enqueue(&obs.RequestTelemetry{

@@ -370,8 +370,8 @@ func TestSessionDetectSpanLinks(t *testing.T) {
 	}
 }
 
-// TestMetricsJSONTelemetrySections asserts the /metrics JSON document grew
-// the session gauges, SLO snapshot and exporter counters.
+// TestMetricsJSONTelemetrySections asserts the /metrics JSON document
+// carries the session gauges and exporter counters, and no SLO section.
 func TestMetricsJSONTelemetrySections(t *testing.T) {
 	ts, exp, _ := newTracedServer(t, 1)
 	tr := sampleTrace(t, 22, 120, 500, 3)
@@ -389,51 +389,15 @@ func TestMetricsJSONTelemetrySections(t *testing.T) {
 	if snap.Sessions == nil || snap.Sessions.Active != 1 {
 		t.Fatalf("sessions section = %+v, want 1 active", snap.Sessions)
 	}
-	if snap.SLO == nil || snap.SLO.Target != 0.99 {
-		t.Fatalf("slo section = %+v, want default target", snap.SLO)
+	var keys map[string]json.RawMessage
+	if err := json.Unmarshal(body, &keys); err != nil {
+		t.Fatal(err)
 	}
-	found := false
-	for _, route := range snap.SLO.Routes {
-		if route.Route == "session_create" {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("slo section lacks the session_create route: %+v", snap.SLO.Routes)
+	if _, ok := keys["slo"]; ok {
+		t.Errorf("/metrics JSON still has an slo key")
 	}
 	if snap.Export == nil || snap.Export.Enqueued < 1 {
 		t.Fatalf("export section = %+v, want at least one enqueued request", snap.Export)
 	}
 	exp.Close()
-}
-
-// TestDebugSLOPage smoke-tests the SLO dashboard in both formats.
-func TestDebugSLOPage(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	tr := sampleTrace(t, 23, 120, 500, 3)
-	if resp, body := postJSON(t, ts, "/v1/detect", DetectRequest{Trace: tr, Beta: 0.3}); resp.StatusCode != http.StatusOK {
-		t.Fatalf("detect: %d %s", resp.StatusCode, body)
-	}
-	resp, body := getBody(t, ts, "/debug/slo")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("debug/slo: %d", resp.StatusCode)
-	}
-	page := string(body)
-	if !strings.Contains(page, "SLO burn rates") || !strings.Contains(page, "detect") {
-		t.Fatalf("dashboard missing expected content: %s", page[:min(len(page), 200)])
-	}
-	resp, body = getBody(t, ts, "/debug/slo?format=json")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("debug/slo json: %d", resp.StatusCode)
-	}
-	var snap obs.SLOSnapshot
-	if err := json.Unmarshal(body, &snap); err != nil {
-		t.Fatal(err)
-	}
-	if len(snap.Routes) == 0 || snap.Target != 0.99 {
-		t.Fatalf("json snapshot = %+v", snap)
-	}
-	if resp, _ := getBody(t, ts, "/debug/slo?format=yaml"); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unknown format: %d, want 400", resp.StatusCode)
-	}
 }

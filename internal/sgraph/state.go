@@ -44,6 +44,20 @@ func StateOf(src State, sig Sign) State {
 	return StateNegative
 }
 
+// LinkProbability is the MFC activation probability of a diffusion link
+// with the given sign and weight under boosting coefficient alpha
+// (Algorithm 1): min(1, alpha*w) on a positive link, w on a negative one.
+// The simulator draws activations with it and extraction scores with it.
+func LinkProbability(sign Sign, w, alpha float64) float64 {
+	if sign == Positive {
+		if bw := alpha * w; bw < 1 {
+			return bw
+		}
+		return 1
+	}
+	return w
+}
+
 // String implements fmt.Stringer.
 func (s State) String() string {
 	switch s {

@@ -57,14 +57,14 @@ const (
 // ErrBadBinary is wrapped by every binary-trace decode failure.
 var ErrBadBinary = errors.New("trace: bad binary trace")
 
-// AppendBinary encodes t in binary trace format, appending to dst.
+// MarshalBinary encodes t in binary trace format.
 //
 // Byte-exact round-tripping assumes a Validate-clean trace. Inconsistent
 // optional fields degrade gracefully rather than producing undecodable
 // output: SeedStates without Seeds is omitted entirely (the format stores
 // one state per seed, so there is nothing to attach them to), matching
 // what Validate rejects on the decode side anyway.
-func AppendBinary(dst []byte, t *Trace) []byte {
+func MarshalBinary(t *Trace) []byte {
 	flags := uint16(0)
 	if t.Rounds != nil {
 		flags |= binFlagRounds
@@ -78,8 +78,7 @@ func AppendBinary(dst []byte, t *Trace) []byte {
 	if len(t.SeedStates) > 0 && len(t.Seeds) > 0 {
 		flags |= binFlagSeedStates
 	}
-	start := len(dst)
-	dst = append(dst, binMagic...)
+	dst := []byte(binMagic)
 	dst = binary.LittleEndian.AppendUint16(dst, binVersion)
 	dst = binary.LittleEndian.AppendUint16(dst, flags)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(t.Nodes))
@@ -113,11 +112,8 @@ func AppendBinary(dst []byte, t *Trace) []byte {
 			dst = append(dst, byte(c))
 		}
 	}
-	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[start:]))
+	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst))
 }
-
-// MarshalBinary encodes t in binary trace format.
-func MarshalBinary(t *Trace) []byte { return AppendBinary(nil, t) }
 
 // binReader is a bounds-checked sequential cursor over an encoded trace.
 type binReader struct {
@@ -257,15 +253,6 @@ func UnmarshalBinary(data []byte) (*Trace, error) {
 func WriteBinary(w io.Writer, t *Trace) error {
 	_, err := w.Write(MarshalBinary(t))
 	return err
-}
-
-// ReadBinary decodes one binary trace from r.
-func ReadBinary(r io.Reader) (*Trace, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("trace: %w", err)
-	}
-	return UnmarshalBinary(data)
 }
 
 // Decode parses data as either wire format, dispatching on the 4-byte

@@ -7,7 +7,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/diffusion"
 	"repro/internal/gen"
-	"repro/internal/influence"
 	"repro/internal/sgraph"
 	"repro/internal/xrand"
 )
@@ -204,31 +203,6 @@ func SimulateVoter(social *Graph, cfg SimConfig, rounds int, rng *Rand) (*Cascad
 		return nil, nil, err
 	}
 	return c, dif, nil
-}
-
-// Campaign types for influence maximization under MFC (the Table I sister
-// problem); see internal/influence for details.
-type (
-	CampaignConfig = influence.Config
-	CampaignResult = influence.Result
-)
-
-// Campaign objectives.
-const (
-	MaximizeSpread      = influence.MaximizeSpread
-	MaximizePositive    = influence.MaximizePositive
-	MaximizeNetPositive = influence.MaximizeNetPositive
-)
-
-// SelectSeeds picks cfg.K seeds on the diffusion network by CELF lazy
-// greedy under MFC.
-func SelectSeeds(diffusionNet *Graph, cfg CampaignConfig, rng *Rand) (*CampaignResult, error) {
-	return influence.Greedy(diffusionNet, cfg, rng)
-}
-
-// EstimateSpread Monte Carlo-estimates a seed set's campaign objective.
-func EstimateSpread(diffusionNet *Graph, seeds []int, cfg CampaignConfig, rng *Rand) (float64, error) {
-	return influence.EstimateSpread(diffusionNet, seeds, cfg, rng)
 }
 
 // BalanceCensus is a signed-triangle census; see internal/balance.

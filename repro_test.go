@@ -110,31 +110,6 @@ func TestVoterFacade(t *testing.T) {
 	}
 }
 
-func TestCampaignFacade(t *testing.T) {
-	rng := repro.NewRand(31)
-	social, err := repro.GenerateNetwork(400, 2400, 0.85, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dif := social.Reverse()
-	res, err := repro.SelectSeeds(dif, repro.CampaignConfig{
-		K: 3, Samples: 40, Objective: repro.MaximizePositive,
-	}, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Seeds) != 3 {
-		t.Fatalf("seeds = %v", res.Seeds)
-	}
-	spread, err := repro.EstimateSpread(dif, res.Seeds, repro.CampaignConfig{K: 3, Samples: 40}, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if spread < 3 {
-		t.Errorf("spread = %g", spread)
-	}
-}
-
 func TestBalanceFacade(t *testing.T) {
 	g, err := repro.LoadDataset("Epinions", 0.01, repro.NewRand(2))
 	if err != nil {
