@@ -19,11 +19,13 @@ ridbench-check:
 race:
 	$(GO) test -race ./internal/obs/ ./internal/diffusion/ ./internal/core/ ./internal/cascade/ ./internal/arbor/ ./internal/isomit/ ./internal/sgraph/ ./internal/par/ ./internal/experiment/ ./internal/ingest/ ./internal/trace/ ./internal/server/ ./internal/profiling/ .
 
-# fuzz-smoke runs the arbor kernel-equivalence fuzzer, the two trace
-# decoder fuzzers and the RIDG snapshot decoder fuzzer briefly; CI does the
-# same. Longer local runs: go test -fuzz FuzzTraceDecode ./internal/trace/
+# fuzz-smoke runs the arbor kernel-equivalence fuzzer, the ISOMIT tree-solver
+# fuzzer (every DP against its brute-force oracle), the two trace decoder
+# fuzzers and the RIDG snapshot decoder fuzzer briefly; CI does the same.
+# Longer local runs: go test -fuzz FuzzTraceDecode ./internal/trace/
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzKernelEquivalence$$' -fuzztime 10s ./internal/arbor/
+	$(GO) test -run '^$$' -fuzz '^FuzzTreeSolvers$$' -fuzztime 5s ./internal/isomit/
 	$(GO) test -run '^$$' -fuzz '^FuzzTraceDecode$$' -fuzztime 5s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz '^FuzzTraceRead$$' -fuzztime 5s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz '^FuzzSnapshotRead$$' -fuzztime 5s ./internal/sgraph/

@@ -15,7 +15,7 @@
 //	diffusion  MFC, IC, LT, SIR simulators
 //	cascade    infected components + cascade forest extraction (Alg. 4)
 //	arbor      Chu-Liu/Edmonds arborescences (Alg. 2–3)
-//	isomit     ISOMIT solvers: likelihoods, tree DPs (Sec. III-B/D/E)
+//	isomit     ISOMIT tree solvers (Sec. III-D/E); Sec. III-B likelihoods in its tests
 //	core       RID and the paper's baselines
 //	experiment harness regenerating every table and figure
 //

@@ -228,7 +228,7 @@ func referenceExtract(snap *Snapshot, cfg Config) (*Forest, error) {
 }
 
 // dropNegative removes negative links from an induced subgraph, keeping
-// the node-identity mapping intact.
+// its Orig mapping (the reference path never calls Local on the result).
 func dropNegative(sub *sgraph.Subgraph) *sgraph.Subgraph {
 	b := sgraph.NewBuilder(sub.G.NumNodes())
 	sub.G.Edges(func(e sgraph.Edge) {
@@ -236,7 +236,7 @@ func dropNegative(sub *sgraph.Subgraph) *sgraph.Subgraph {
 			b.AddEdge(e.From, e.To, e.Sign, e.Weight)
 		}
 	})
-	return sgraph.NewSubgraph(b.MustBuild(), sub.Orig)
+	return &sgraph.Subgraph{G: b.MustBuild(), Orig: sub.Orig}
 }
 
 // referenceExtractComponent is the old extractComponent: component members

@@ -425,3 +425,22 @@ func TestNewDetector(t *testing.T) {
 		t.Fatalf("unknown name: err = %v", err)
 	}
 }
+
+func TestRIDStatesConcrete(t *testing.T) {
+	// Every RID state must be ±1 even with unknowns everywhere.
+	sim := simulate(t, 81, 700, 4200, 12)
+	masked := diffusion.MaskStates(sim.snap.States, 0.6, xrand.New(3))
+	snap, err := cascade.NewSnapshot(sim.snap.G, masked)
+	if err != nil {
+		t.Fatal(err)
+	}
+	det, err := mustRID(t, 0.2).Detect(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range det.States {
+		if s != sgraph.StatePositive && s != sgraph.StateNegative {
+			t.Fatalf("non-concrete state %v", s)
+		}
+	}
+}

@@ -18,12 +18,6 @@ type Ensemble struct {
 	minVotes  int
 }
 
-// NewEnsemble builds the ensemble; betas must be non-empty and minVotes in
-// [1, len(betas)].
-func NewEnsemble(alpha float64, betas []float64, minVotes int) (*Ensemble, error) {
-	return NewEnsembleConfig(RIDConfig{Alpha: alpha}, betas, minVotes)
-}
-
 // NewEnsembleConfig builds the ensemble from a full base configuration —
 // every sweep member shares base (objective, extraction knobs, Parallelism)
 // with only Beta replaced by the sweep value. betas must be non-empty and

@@ -7,19 +7,19 @@ import (
 )
 
 func TestNewEnsembleValidation(t *testing.T) {
-	if _, err := NewEnsemble(3, nil, 1); err == nil {
+	if _, err := NewEnsembleConfig(RIDConfig{Alpha: 3}, nil, 1); err == nil {
 		t.Error("empty betas should error")
 	}
-	if _, err := NewEnsemble(3, []float64{0.1, 0.5}, 0); err == nil {
+	if _, err := NewEnsembleConfig(RIDConfig{Alpha: 3}, []float64{0.1, 0.5}, 0); err == nil {
 		t.Error("minVotes 0 should error")
 	}
-	if _, err := NewEnsemble(3, []float64{0.1, 0.5}, 3); err == nil {
+	if _, err := NewEnsembleConfig(RIDConfig{Alpha: 3}, []float64{0.1, 0.5}, 3); err == nil {
 		t.Error("minVotes above sweep count should error")
 	}
-	if _, err := NewEnsemble(0.5, []float64{0.1}, 1); err == nil {
+	if _, err := NewEnsembleConfig(RIDConfig{Alpha: 0.5}, []float64{0.1}, 1); err == nil {
 		t.Error("invalid alpha should error")
 	}
-	e, err := NewEnsemble(3, []float64{0.5, 0.1, 0.9}, 2)
+	e, err := NewEnsembleConfig(RIDConfig{Alpha: 3}, []float64{0.5, 0.1, 0.9}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,11 +30,11 @@ func TestNewEnsembleValidation(t *testing.T) {
 
 func TestEnsembleVoteSemantics(t *testing.T) {
 	sim := simulate(t, 55, 2000, 13000, 80)
-	unanimity, err := NewEnsemble(3, []float64{0.1, 0.4, 0.8}, 3)
+	unanimity, err := NewEnsembleConfig(RIDConfig{Alpha: 3}, []float64{0.1, 0.4, 0.8}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	anyVote, err := NewEnsemble(3, []float64{0.1, 0.4, 0.8}, 1)
+	anyVote, err := NewEnsembleConfig(RIDConfig{Alpha: 3}, []float64{0.1, 0.4, 0.8}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestEnsembleNestedAcrossThresholds(t *testing.T) {
 	sim := simulate(t, 56, 1000, 6000, 30)
 	prev := -1
 	for votes := 1; votes <= 3; votes++ {
-		e, err := NewEnsemble(3, []float64{0.1, 0.4, 0.8}, votes)
+		e, err := NewEnsembleConfig(RIDConfig{Alpha: 3}, []float64{0.1, 0.4, 0.8}, votes)
 		if err != nil {
 			t.Fatal(err)
 		}

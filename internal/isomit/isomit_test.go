@@ -213,13 +213,13 @@ func testTree(tb testing.TB, seed uint64, n int) *cascade.Tree {
 
 func TestPartitionScorePath(t *testing.T) {
 	tr := pathTree(t, 0.1, 0.9)
-	if got := PartitionScore(tr, []int{0}); math.Abs(got-1.19) > 1e-12 {
+	if got := partitionScore(tr, []int{0}); math.Abs(got-1.19) > 1e-12 {
 		t.Errorf("score({0}) = %g, want 1.19", got)
 	}
-	if got := PartitionScore(tr, []int{0, 1}); math.Abs(got-2.9) > 1e-12 {
+	if got := partitionScore(tr, []int{0, 1}); math.Abs(got-2.9) > 1e-12 {
 		t.Errorf("score({0,1}) = %g, want 2.9", got)
 	}
-	if got := PartitionScore(tr, []int{1}); math.Abs(got-1.9) > 1e-12 {
+	if got := partitionScore(tr, []int{1}); math.Abs(got-1.9) > 1e-12 {
 		t.Errorf("score({1}) = %g, want 1.9 (ungoverned root contributes 0)", got)
 	}
 }
@@ -267,6 +267,21 @@ func TestSolvePenalizedPath(t *testing.T) {
 	}
 	if r.K != 1 || r.Local[0] != 1 {
 		t.Errorf("large beta initiators = %v, want [1]", r.Local)
+	}
+}
+
+// TestSolvePenalizedEveryCutUnprofitable pins the β > 1 case where no
+// initiator pays for itself, so the empty set maximizes OPT − k·β. The
+// required single initiator must be the best singleton, node 1 (score
+// 1 + 0.9 = 1.9), not the root (1 + 0.1 + 0.09 = 1.19).
+func TestSolvePenalizedEveryCutUnprofitable(t *testing.T) {
+	tr := pathTree(t, 0.1, 0.9)
+	r, err := Solve(tr, Options{Mode: ModePenalized, Beta: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.K != 1 || r.Local[0] != 1 || math.Abs(r.Objective-(-1.9)) > 1e-12 {
+		t.Errorf("initiators = %v, objective %g; want [1], -1.9", r.Local, r.Objective)
 	}
 }
 

@@ -5,12 +5,13 @@ import (
 	"math"
 
 	"repro/internal/cascade"
+	"repro/internal/sgraph"
 )
 
-// DefaultLambda is the log-likelihood normalizer of the local objective:
+// defaultLambda is the log-likelihood normalizer of the local objective:
 // −ln of the default sign-inconsistent link floor (1e-12), so that β = 1
 // corresponds exactly to the least likely representable activation link.
-var DefaultLambda = -math.Log(1e-12)
+var defaultLambda = -math.Log(1e-12)
 
 // solveLocal optimizes the Markov (one-hop conditional) log-likelihood form
 // of the per-tree objective. Each non-initiator node contributes the log of
@@ -33,12 +34,16 @@ var DefaultLambda = -math.Log(1e-12)
 // individually plausible activations is never cut just because the
 // compound product from the root decays. The two are compared by an
 // ablation bench.
+//
+// The result is built from the threshold pass alone: it visits nodes in
+// ascending order, so the initiators come out sorted and the score sums
+// the kept nodes' logs in the order localLogScore does.
 func solveLocal(t *cascade.Tree, beta, lambda float64) (*Result, error) {
 	if beta < 0 {
 		return nil, fmt.Errorf("isomit: beta must be non-negative, got %g", beta)
 	}
 	if lambda == 0 {
-		lambda = DefaultLambda
+		lambda = defaultLambda
 	}
 	if lambda <= 0 {
 		return nil, fmt.Errorf("isomit: lambda must be positive, got %g", lambda)
@@ -47,41 +52,29 @@ func solveLocal(t *cascade.Tree, beta, lambda float64) (*Result, error) {
 		return nil, fmt.Errorf("isomit: empty tree")
 	}
 	threshold := math.Exp(-beta * lambda)
-	initiators := []int{0}
+	local := []int{0}
+	score := 0.0
 	for v := 1; v < t.Len(); v++ {
-		if t.Dummy[v] {
-			continue
-		}
-		if t.Score[v] < threshold {
-			initiators = append(initiators, v)
+		switch {
+		case t.Dummy[v]:
+		case t.Score[v] < threshold:
+			local = append(local, v)
+		default:
+			score += math.Log(t.Score[v])
 		}
 	}
-	r := buildResult(t, initiators, beta*lambda)
-	r.Score = LocalLogScore(t, initiators)
-	r.Objective = -r.Score + float64(r.K-1)*beta*lambda
-	r.Cells = int64(t.Len()) // one threshold check per node
+	r := &Result{
+		Local:      local,
+		Initiators: make([]int, len(local)),
+		States:     make([]sgraph.State, len(local)),
+		K:          len(local),
+		Score:      score,
+		Objective:  -score + float64(len(local)-1)*beta*lambda,
+		Cells:      int64(t.Len()), // one threshold check per node
+	}
+	for i, v := range local {
+		r.Initiators[i] = t.Orig[v]
+		r.States[i] = t.State[v]
+	}
 	return r, nil
-}
-
-// LocalLogScore evaluates the Markov log objective for an explicit
-// initiator set: initiators contribute 0 (their own activation is assumed),
-// other real nodes contribute log of their in-edge score, and a real
-// non-initiator root (possible in hand-built sets) contributes the log of
-// an impossible activation, -Inf; dummies contribute nothing.
-func LocalLogScore(t *cascade.Tree, initiators []int) float64 {
-	isInit := make([]bool, t.Len())
-	for _, v := range initiators {
-		isInit[v] = true
-	}
-	total := 0.0
-	for v := 0; v < t.Len(); v++ {
-		if t.Dummy[v] || isInit[v] {
-			continue
-		}
-		if v == 0 {
-			return math.Inf(-1) // ungoverned root: impossible snapshot
-		}
-		total += math.Log(t.Score[v])
-	}
-	return total
 }

@@ -5,8 +5,50 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/cascade"
 	"repro/internal/xrand"
 )
+
+// localLogScore evaluates the Markov log objective for an explicit
+// initiator set — the brute-force reference for ModeLocal: initiators
+// contribute 0 (their own activation is assumed), other real nodes
+// contribute log of their in-edge score, and a real non-initiator root
+// (possible in hand-built sets) contributes the log of an impossible
+// activation, -Inf; dummies contribute nothing.
+func localLogScore(t *cascade.Tree, initiators []int) float64 {
+	isInit := make([]bool, t.Len())
+	for _, v := range initiators {
+		isInit[v] = true
+	}
+	total := 0.0
+	for v := 0; v < t.Len(); v++ {
+		if t.Dummy[v] || isInit[v] {
+			continue
+		}
+		if v == 0 {
+			return math.Inf(-1) // ungoverned root: impossible snapshot
+		}
+		total += math.Log(t.Score[v])
+	}
+	return total
+}
+
+// bruteLocal returns the least −localLogScore + (k−1)·penalty over every
+// initiator set of real nodes that contains the root.
+func bruteLocal(t *cascade.Tree, penalty float64) float64 {
+	real := realNodes(t)
+	best := math.Inf(1)
+	for mask := 1; mask < 1<<len(real); mask++ {
+		if mask&1 == 0 {
+			continue // root (index 0 in real) must be an initiator
+		}
+		set := setOf(real, mask)
+		if obj := -localLogScore(t, set) + float64(len(set)-1)*penalty; obj < best {
+			best = obj
+		}
+	}
+	return best
+}
 
 func TestSolveLocalPath(t *testing.T) {
 	tr := pathTree(t, 0.1, 0.9)
@@ -28,7 +70,7 @@ func TestSolveLocalPath(t *testing.T) {
 		t.Errorf("β=1: initiators = %v, want [0]", r.Local)
 	}
 	// Intermediate: cut only the weak 0.1 edge.
-	beta := -math.Log(0.3) / DefaultLambda
+	beta := -math.Log(0.3) / defaultLambda
 	r, err = Solve(tr, Options{Mode: ModeLocal, Beta: beta, Lambda: 0})
 	if err != nil {
 		t.Fatal(err)
@@ -39,7 +81,7 @@ func TestSolveLocalPath(t *testing.T) {
 }
 
 func TestSolveLocalMatchesBruteForce(t *testing.T) {
-	// The threshold rule must minimize −LocalLogScore + (k−1)·β·λ over
+	// The threshold rule must minimize −localLogScore + (k−1)·β·λ over
 	// every root-containing subset.
 	f := func(seed uint64) bool {
 		rng := xrand.New(seed)
@@ -50,20 +92,7 @@ func TestSolveLocalMatchesBruteForce(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		lambda := DefaultLambda
-		real := realNodes(tr)
-		best := math.Inf(1)
-		for mask := 1; mask < 1<<len(real); mask++ {
-			if mask&1 == 0 {
-				continue // root (index 0 in real) must be an initiator
-			}
-			set := setOf(real, mask)
-			obj := -LocalLogScore(tr, set) + float64(len(set)-1)*beta*lambda
-			if obj < best {
-				best = obj
-			}
-		}
-		return math.Abs(got.Objective-best) < 1e-6
+		return math.Abs(got.Objective-bruteLocal(tr, beta*defaultLambda)) < 1e-6
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Error(err)
@@ -121,7 +150,7 @@ func TestSolveLocalValidation(t *testing.T) {
 
 func TestLocalLogScoreUngovernedRoot(t *testing.T) {
 	tr := pathTree(t, 0.5, 0.5)
-	if s := LocalLogScore(tr, []int{1}); !math.IsInf(s, -1) {
+	if s := localLogScore(tr, []int{1}); !math.IsInf(s, -1) {
 		t.Errorf("score without root = %g, want -Inf", s)
 	}
 }

@@ -1,3 +1,29 @@
+// Package isomit solves the paper's ISOMIT problem on extracted cascade
+// trees. Solve is the one entry point, and Mode picks the per-tree solver:
+//
+//   - ModeLocal, the production default, is the Markov (one-hop)
+//     log-likelihood form of the objective; its exact optimum is an O(n)
+//     threshold rule.
+//   - ModePenalized optimizes the paper's final per-tree objective
+//     min −OPT(u,I,S,k) + (k−1)·β exactly, in linear-ish time, using the
+//     partition semantics the paper states ("the detected cascade tree can
+//     actually be partitioned into several isolated sub-trees").
+//   - ModeBudget and ModeBudgetStates are the k-ISOMIT-BT dynamic program
+//     of Section III-D for a fixed number of initiators on binarized trees,
+//     the second with the ±1 initiator-state branch kept explicit.
+//   - ModeAuto and ModeAutoStates wrap them in the incremental k-selection
+//     loop of Section III-E3.
+//
+// The exact references live in this package's tests, not in the build: the
+// Section III-B path-product likelihood (G, NodeProbability,
+// NetworkLogLikelihood), the exhaustive general-graph solver ExactSmall,
+// and the BruteForce* enumerators that check every tree DP.
+//
+// Every solver in this package is reentrant: all DP tables, memo maps and
+// recursion state are allocated per call, and the only package-level
+// variable (defaultLambda) is read-only configuration. The detection
+// pipeline relies on this to solve trees concurrently
+// (core.RIDConfig.Parallelism).
 package isomit
 
 import (
@@ -14,7 +40,8 @@ type Mode int
 const (
 	// ModeLocal is the Markov (one-hop) log-likelihood threshold rule:
 	// exact, O(n), scale-free in tree depth. Uses Beta and Lambda (zero
-	// Lambda means DefaultLambda). The production default.
+	// Lambda means −ln 1e-12, the default inconsistent-link floor). The
+	// production default.
 	ModeLocal Mode = iota
 	// ModePenalized is the exact DP on the paper's partition objective
 	// −OPT + (k−1)·β over all k simultaneously. Uses Beta, QMin,
@@ -62,7 +89,7 @@ type Options struct {
 	// Beta is the per-extra-initiator penalty β ∈ [0, 1] of Section
 	// III-E3. Read by ModeLocal, ModePenalized, ModeAuto, ModeAutoStates.
 	Beta float64
-	// Lambda normalizes β for ModeLocal; zero means DefaultLambda.
+	// Lambda normalizes β for ModeLocal; zero means −ln 1e-12.
 	Lambda float64
 	// K is the exact initiator budget for ModeBudget and ModeBudgetStates.
 	K int

@@ -209,15 +209,36 @@ func solvePenalized(t *cascade.Tree, cfg PenaltyConfig) (*Result, error) {
 		}
 	}
 	if len(initiators) == 0 {
-		// Degenerate (possible only when β > 1 makes even the root cut
-		// unprofitable): the problem still requires at least one
-		// initiator, so force the root.
-		initiators = append(initiators, 0)
-		slot[0] = slotSelf
+		// Degenerate (possible only when β > 1 makes every cut
+		// unprofitable), but the problem still requires an initiator.
+		initiators = append(initiators, bestSingleInitiator(t))
 	}
 	r := buildResult(t, initiators, cfg.Beta)
 	r.Cells = cells
 	return r, nil
+}
+
+// bestSingleInitiator returns the real node whose singleton initiator set
+// has the largest partition score: the sum over the real nodes of its
+// subtree of the path product from it. When the empty set maximizes
+// OPT − k·β, this singleton is the best non-empty set. Adding an
+// initiator u to any set gains at most OPT({u}) − β, which the empty
+// set's optimality bounds by zero, so no second initiator can help.
+func bestSingleInitiator(t *cascade.Tree) int {
+	explained := make([]float64, t.Len())
+	best := 0
+	for v := t.Len() - 1; v >= 0; v-- { // reverse BFS order: children first
+		if !t.Dummy[v] {
+			explained[v] = 1
+		}
+		for _, c := range t.Children[v] {
+			explained[v] += t.Score[c] * explained[c]
+		}
+		if !t.Dummy[v] && explained[v] >= explained[best] {
+			best = v
+		}
+	}
+	return best
 }
 
 // buildResult assembles a Result from a set of local initiator IDs,
@@ -225,7 +246,7 @@ func solvePenalized(t *cascade.Tree, cfg PenaltyConfig) (*Result, error) {
 // internal cross-check of the DP reconstruction).
 func buildResult(t *cascade.Tree, local []int, beta float64) *Result {
 	sort.Ints(local)
-	r := &Result{Local: local, K: len(local), Score: PartitionScore(t, local)}
+	r := &Result{Local: local, K: len(local), Score: partitionScore(t, local)}
 	r.Objective = -r.Score + float64(r.K-1)*beta
 	for _, v := range local {
 		r.Initiators = append(r.Initiators, t.Orig[v])
@@ -234,12 +255,12 @@ func buildResult(t *cascade.Tree, local []int, beta float64) *Result {
 	return r
 }
 
-// PartitionScore evaluates OPT for an explicit initiator set under the
+// partitionScore evaluates OPT for an explicit initiator set under the
 // partition semantics: every node contributes the product of g scores on
 // the path from its nearest initiator ancestor (1 for initiators
 // themselves, 0 for nodes with no initiator above them); dummy nodes
 // contribute nothing.
-func PartitionScore(t *cascade.Tree, initiators []int) float64 {
+func partitionScore(t *cascade.Tree, initiators []int) float64 {
 	isInit := make([]bool, t.Len())
 	for _, v := range initiators {
 		isInit[v] = true

@@ -26,8 +26,6 @@ package obs
 
 import (
 	"context"
-	"crypto/rand"
-	"encoding/hex"
 	"runtime/pprof"
 	"sync"
 	"time"
@@ -401,15 +399,4 @@ func WithTraceID(ctx context.Context, id string) context.Context {
 func TraceID(ctx context.Context) string {
 	id, _ := ctx.Value(traceIDKey{}).(string)
 	return id
-}
-
-// NewTraceID returns a 16-hex-char random trace ID.
-func NewTraceID() string {
-	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		// crypto/rand failure is unrecoverable noise; a fixed ID keeps the
-		// request serviceable and is visibly wrong in logs.
-		return "0000000000000000"
-	}
-	return hex.EncodeToString(b[:])
 }

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"context"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -70,16 +69,6 @@ func TestTraceID(t *testing.T) {
 	ctx = WithTraceID(ctx, "abc123")
 	if got := TraceID(ctx); got != "abc123" {
 		t.Fatalf("TraceID = %q", got)
-	}
-	a, b := NewTraceID(), NewTraceID()
-	if len(a) != 16 || len(b) != 16 {
-		t.Fatalf("trace IDs %q/%q not 16 hex chars", a, b)
-	}
-	if a == b {
-		t.Fatalf("trace IDs collided: %q", a)
-	}
-	if strings.Trim(a, "0123456789abcdef") != "" {
-		t.Fatalf("trace ID %q not lowercase hex", a)
 	}
 }
 

@@ -280,30 +280,6 @@ func escapeHelp(s string) string {
 	return b.String()
 }
 
-// SanitizeMetricName maps an arbitrary identifier into the Prometheus
-// metric-name alphabet [a-zA-Z0-9_:], replacing every other rune with '_'
-// and prefixing names that would start with a digit.
-func SanitizeMetricName(s string) string {
-	var b strings.Builder
-	b.Grow(len(s))
-	for i, r := range s {
-		valid := r == '_' || r == ':' ||
-			(r >= 'a' && r <= 'z') || (r >= 'A' && r <= 'Z') ||
-			(r >= '0' && r <= '9' && i > 0)
-		if r >= '0' && r <= '9' && i == 0 {
-			b.WriteByte('_')
-			b.WriteRune(r)
-			continue
-		}
-		if valid {
-			b.WriteRune(r)
-		} else {
-			b.WriteByte('_')
-		}
-	}
-	return b.String()
-}
-
 // SortedKeys returns the map's keys in sorted order — exposition must be
 // deterministic for golden tests and diff-friendly scrapes.
 func SortedKeys[V any](m map[string]V) []string {

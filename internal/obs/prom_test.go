@@ -18,18 +18,6 @@ func TestEscapeLabelValue(t *testing.T) {
 	}
 }
 
-func TestSanitizeMetricName(t *testing.T) {
-	for _, tc := range []struct{ in, want string }{
-		{"dp_cells", "dp_cells"},
-		{"detect.RID(0.3)", "detect_RID_0_3_"},
-		{"9lives", "_9lives"},
-	} {
-		if got := SanitizeMetricName(tc.in); got != tc.want {
-			t.Errorf("SanitizeMetricName(%q) = %q, want %q", tc.in, got, tc.want)
-		}
-	}
-}
-
 func TestPromWriterHistogram(t *testing.T) {
 	var b strings.Builder
 	w := NewPromWriter(&b)

@@ -223,9 +223,9 @@ func NewSpanID() string { return randHex(8) }
 func randHex(n int) string {
 	b := make([]byte, n)
 	if _, err := rand.Read(b); err != nil {
-		// Mirror NewTraceID: crypto/rand failure yields a fixed, visibly
-		// wrong id rather than an unserviceable request. The last byte is
-		// set so the id is never all-zero (which W3C forbids).
+		// crypto/rand failure yields a fixed, visibly wrong id rather
+		// than an unserviceable request. The last byte is set so the id
+		// is never all-zero (which W3C forbids).
 		for i := range b {
 			b[i] = 0
 		}

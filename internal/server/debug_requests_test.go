@@ -103,7 +103,7 @@ func TestSimulateResponseAlgoCounters(t *testing.T) {
 		t.Error("simulate response has no trace_id")
 	}
 	// The run's counters also accumulate into the registry snapshot.
-	snap := s.Metrics().Snapshot(QueueSnapshot{}, 0, 0)
+	snap := s.reg.Snapshot(QueueSnapshot{}, 0, 0)
 	if snap.Algo == nil || snap.Algo.Diffusion.Runs != 1 {
 		t.Errorf("registry algo = %+v, want the simulate run folded in", snap.Algo)
 	}
@@ -331,7 +331,7 @@ func TestDebugRequestsSlowPinning(t *testing.T) {
 // TestDebugRequestsDisabled turns the recorder off via FlightSize < 0.
 func TestDebugRequestsDisabled(t *testing.T) {
 	s, ts := newTestServer(t, Config{FlightSize: -1})
-	if s.Flight() != nil {
+	if s.flight != nil {
 		t.Fatal("flight recorder created despite FlightSize < 0")
 	}
 	tr := sampleTrace(t, 45, 100, 600, 2)

@@ -176,12 +176,6 @@ func New(cfg Config) *Server {
 // Handler exposes the route table (for httptest and embedding).
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Metrics exposes the registry (for embedding the server elsewhere).
-func (s *Server) Metrics() *Registry { return s.reg }
-
-// Flight exposes the flight recorder, nil when disabled (FlightSize < 0).
-func (s *Server) Flight() *obs.FlightRecorder { return s.flight }
-
 // DebugHandler returns the package-level profiling mux (net/http/pprof,
 // expvar) extended with this server's flight-recorder view at
 // /debug/requests, so a deployment running a separate debug listener

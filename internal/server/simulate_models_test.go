@@ -153,7 +153,7 @@ func TestSimulateFlightRecordStages(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d, body %s", resp.StatusCode, body)
 	}
-	recs := s.Flight().Snapshot()
+	recs := s.flight.Snapshot()
 	if len(recs) != 1 || recs[0].Route != "/v1/simulate" {
 		t.Fatalf("flight records = %+v, want the one simulate", recs)
 	}

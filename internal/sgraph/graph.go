@@ -139,26 +139,6 @@ func (g *Graph) In(v int, fn func(Edge)) {
 	}
 }
 
-// OutEdges returns a freshly allocated slice of u's out-links.
-func (g *Graph) OutEdges(u int) []Edge {
-	idx := g.out(u)
-	out := make([]Edge, 0, len(idx))
-	for _, i := range idx {
-		out = append(out, g.edge(i))
-	}
-	return out
-}
-
-// InEdges returns a freshly allocated slice of v's in-links.
-func (g *Graph) InEdges(v int) []Edge {
-	idx := g.in(v)
-	in := make([]Edge, 0, len(idx))
-	for _, i := range idx {
-		in = append(in, g.edge(i))
-	}
-	return in
-}
-
 // HasEdge reports whether a link u -> v exists and returns it.
 func (g *Graph) HasEdge(u, v int) (Edge, bool) {
 	idx := g.out(u)

@@ -426,7 +426,3 @@ func LoadSnapshot(path string) (*Graph, error) {
 	defer f.Close()
 	return ReadSnapshot(f)
 }
-
-// Mapped reports whether the graph's arrays alias a memory-mapped snapshot
-// (as opposed to heap-owned arrays). Exposed for tests and diagnostics.
-func (g *Graph) Mapped() bool { return g.snap != nil }

@@ -14,18 +14,6 @@ type Subgraph struct {
 	local map[int]int
 }
 
-// NewSubgraph wraps an already-built graph whose local node IDs correspond
-// to the parent IDs listed in orig (local i <-> orig[i]). Used by callers
-// that post-process an induced subgraph (e.g. dropping edges) and need to
-// retain the ID mapping.
-func NewSubgraph(g *Graph, orig []int) *Subgraph {
-	local := make(map[int]int, len(orig))
-	for i, u := range orig {
-		local[u] = i
-	}
-	return &Subgraph{G: g, Orig: orig, local: local}
-}
-
 // Local returns the local ID of parent node u, if present.
 func (s *Subgraph) Local(u int) (int, bool) {
 	v, ok := s.local[u]

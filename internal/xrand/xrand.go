@@ -7,7 +7,6 @@
 package xrand
 
 import (
-	"math"
 	"math/bits"
 )
 
@@ -83,32 +82,6 @@ func (r *Rand) Range(lo, hi float64) float64 {
 		panic("xrand: Range with hi < lo")
 	}
 	return lo + (hi-lo)*r.Float64()
-}
-
-// NormFloat64 returns a standard normal variate (Box–Muller, polar form).
-func (r *Rand) NormFloat64() float64 {
-	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
-		if s > 0 && s < 1 {
-			return u * math.Sqrt(-2*math.Log(s)/s)
-		}
-	}
-}
-
-// Exp returns an exponential variate with rate lambda. It panics if
-// lambda <= 0.
-func (r *Rand) Exp(lambda float64) float64 {
-	if lambda <= 0 {
-		panic("xrand: Exp with non-positive lambda")
-	}
-	for {
-		u := r.Float64()
-		if u > 0 {
-			return -math.Log(u) / lambda
-		}
-	}
 }
 
 // Perm returns a uniform random permutation of [0, n).

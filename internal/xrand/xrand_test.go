@@ -124,47 +124,6 @@ func TestRange(t *testing.T) {
 	r.Range(5, 2)
 }
 
-func TestNormFloat64Moments(t *testing.T) {
-	r := New(6)
-	var sum, sumSq float64
-	const n = 200000
-	for i := 0; i < n; i++ {
-		v := r.NormFloat64()
-		sum += v
-		sumSq += v * v
-	}
-	mean := sum / n
-	variance := sumSq/n - mean*mean
-	if math.Abs(mean) > 0.02 {
-		t.Errorf("normal mean = %g", mean)
-	}
-	if math.Abs(variance-1) > 0.03 {
-		t.Errorf("normal variance = %g", variance)
-	}
-}
-
-func TestExp(t *testing.T) {
-	r := New(7)
-	var sum float64
-	const n = 200000
-	for i := 0; i < n; i++ {
-		v := r.Exp(2)
-		if v < 0 {
-			t.Fatalf("Exp < 0: %g", v)
-		}
-		sum += v
-	}
-	if mean := sum / n; math.Abs(mean-0.5) > 0.02 {
-		t.Errorf("Exp(2) mean = %g, want ~0.5", mean)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("Exp(0) did not panic")
-		}
-	}()
-	r.Exp(0)
-}
-
 func TestPermIsPermutation(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := New(seed)
