@@ -35,7 +35,6 @@ import (
 	"fmt"
 	"os"
 	"reflect"
-	"time"
 
 	"repro/internal/cascade"
 	"repro/internal/cli"
@@ -44,7 +43,6 @@ import (
 	"repro/internal/diffusion"
 	"repro/internal/ingest"
 	"repro/internal/metrics"
-	"repro/internal/obs"
 	"repro/internal/sgraph"
 	"repro/internal/trace"
 	"repro/internal/xrand"
@@ -54,7 +52,6 @@ import (
 type options struct {
 	dataset, file, loadTrace, saveTrace, dotFile, method string
 	traceFormat                                          string
-	otlpFile                                             string
 	scale, beta, alpha, seedFrac, theta, mask            float64
 	n                                                    int
 	seed                                                 uint64
@@ -84,7 +81,6 @@ func main() {
 	flag.BoolVar(&o.verbose, "v", false, "print forest statistics and per-initiator detail")
 	flag.BoolVar(&o.replay, "replay", false, "stream the instance as events through an incremental session, asserting prefix bit-identity")
 	flag.IntVar(&o.replayChecks, "replay-checks", 10, "number of evenly spaced prefix equivalence checks during -replay")
-	flag.StringVar(&o.otlpFile, "otlp-file", "", "capture the detection's pipeline spans as OTLP/JSON NDJSON in this file (offline, no collector needed)")
 	logCfg := cli.LogFlags()
 	o.profile = cli.ProfileFlags()
 	flag.Parse()
@@ -133,7 +129,7 @@ func run(o options) error {
 	if err != nil {
 		return err
 	}
-	det, err := detect(o, d, snap)
+	det, err := d.Detect(snap)
 	if err != nil {
 		return err
 	}
@@ -187,46 +183,6 @@ func run(o options) error {
 		}
 	}
 	return nil
-}
-
-// detect runs the configured detector, optionally capturing the run's
-// pipeline spans and algorithm counters as one OTLP/JSON line in
-// -otlp-file — the same offline format ridserve's exporter writes, so the
-// batch tool's telemetry replays through the same tooling (and CI
-// goldens).
-func detect(o options, d core.Detector, snap *cascade.Snapshot) (*core.Detection, error) {
-	if o.otlpFile == "" {
-		return d.Detect(snap)
-	}
-	exporter, err := obs.NewExporter(obs.ExporterConfig{File: o.otlpFile, Service: "ridlab"})
-	if err != nil {
-		return nil, err
-	}
-	rec := obs.NewRecorder()
-	tc := obs.NewTraceContext()
-	ctx := obs.WithRecorder(obs.WithTraceContext(context.Background(), tc), rec)
-	start := time.Now()
-	det, detErr := core.DetectWithContext(ctx, d, snap)
-	rt := &obs.RequestTelemetry{
-		Trace:  tc,
-		Route:  "ridlab/detect",
-		Detail: "detector=" + d.Name(),
-		Start:  start,
-		End:    time.Now(),
-		Rec:    rec,
-	}
-	if detErr != nil {
-		rt.Error = detErr.Error()
-	}
-	exporter.Enqueue(rt)
-	if err := exporter.Close(); err != nil {
-		return nil, err
-	}
-	if detErr != nil {
-		return nil, detErr
-	}
-	fmt.Printf("captured pipeline spans to %s (trace %s)\n", o.otlpFile, tc.TraceID)
-	return det, nil
 }
 
 // replay linearizes the instance into a deterministic event stream and

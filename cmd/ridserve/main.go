@@ -36,18 +36,15 @@
 // format with ?format=prometheus, including algorithm-depth counters,
 // session gauges and Go runtime health. Requests are access-logged via
 // slog (-log-level, -log-format) under a W3C trace context: an inbound
-// traceparent header is honored (tracestate validated, malformed ones
-// dropped per spec), a request without one starts a fresh trace, and the
-// response carries this hop's traceparent. Completed requests
-// export as OTLP/JSON spans — stages as child spans, work and algorithm
-// counters as attributes — to an OTLP/HTTP collector (-otlp-endpoint)
-// and/or an NDJSON capture file (-otlp-file), under tail-based sampling:
-// failed and slow requests always export, the rest keep a deterministic
-// -otlp-sample fraction by trace id so replicas agree. The flight recorder
-// retains the last -flight completed compute requests (slow or failed ones
-// pinned past eviction; -slow sets the threshold) and serves them on
-// /debug/requests as an HTML table with per-request drill-down, or JSON
-// with ?format=json; the list filters with ?route=, ?model= and ?min_ms=.
+// traceparent header's trace id and flags are kept, a request without one
+// (or with a malformed one) starts a fresh trace, and the response carries
+// this hop's traceparent. The flight recorder is the one per-request
+// record: it keeps each compute request's trace id, route, stage timings
+// and algorithm counters. It retains the last -flight completed compute
+// requests (slow or failed ones pinned past eviction; -slow sets the
+// threshold) and serves them on /debug/requests as an HTML table with
+// per-request drill-down, or JSON with ?format=json; the list filters with
+// ?route=, ?model= and ?min_ms=.
 // -profile-interval turns on the continuous profiler: a short CPU profile
 // window is captured every interval (-profile-window sets its length,
 // default interval/50 capped at 10s), decoded in-process, and folded into
@@ -65,7 +62,6 @@
 //	         [-parallelism 0] [-timeout 30s] [-drain 15s] [-max-body-mb 32]
 //	         [-flight 128] [-slow 1s] [-max-sessions 64] [-session-ttl 15m]
 //	         [-snapshot-dir dir]
-//	         [-otlp-endpoint url] [-otlp-file path] [-otlp-sample 1]
 //	         [-profile-interval 0] [-profile-window 0]
 //	         [-log-level info] [-log-format text] [-debug-addr addr]
 //
@@ -94,7 +90,6 @@ import (
 	"time"
 
 	"repro/internal/cli"
-	"repro/internal/obs"
 	"repro/internal/profiling"
 	"repro/internal/server"
 )
@@ -115,9 +110,6 @@ type options struct {
 	debugAddr    string
 	maxSess      int
 	sessTTL      time.Duration
-	otlpEndpoint string
-	otlpFile     string
-	otlpSample   float64
 	snapshotDir  string
 	profInterval time.Duration
 	profWindow   time.Duration
@@ -134,13 +126,10 @@ func main() {
 	flag.DurationVar(&o.drain, "drain", 15*time.Second, "graceful-shutdown drain budget")
 	flag.Int64Var(&o.maxBodyMB, "max-body-mb", 32, "request body cap in MiB")
 	flag.IntVar(&o.flight, "flight", 0, "flight-recorder capacity in requests (0 = default 128, -1 = disabled)")
-	flag.DurationVar(&o.slow, "slow", 0, "latency at which requests pin in the flight recorder and export unconditionally (0 = default 1s)")
+	flag.DurationVar(&o.slow, "slow", 0, "latency at which requests pin in the flight recorder (0 = default 1s)")
 	flag.StringVar(&o.debugAddr, "debug-addr", "", "pprof/expvar/flight-recorder listen address (empty = disabled)")
 	flag.IntVar(&o.maxSess, "max-sessions", 64, "live ingest-session cap (exceeding answers 429)")
 	flag.DurationVar(&o.sessTTL, "session-ttl", 15*time.Minute, "idle lifetime of an ingest session")
-	flag.StringVar(&o.otlpEndpoint, "otlp-endpoint", "", "OTLP/HTTP traces URL for span export (empty = no HTTP sink)")
-	flag.StringVar(&o.otlpFile, "otlp-file", "", "NDJSON file appending one OTLP/JSON export request per line (empty = no file sink)")
-	flag.Float64Var(&o.otlpSample, "otlp-sample", 1, "fraction of ordinary requests to export, decided deterministically from the trace id; failed and slow requests always export")
 	flag.StringVar(&o.snapshotDir, "snapshot-dir", "", "directory persisting built networks as CSR snapshot files for warm restarts (empty = disabled)")
 	flag.DurationVar(&o.profInterval, "profile-interval", 0, "continuous-profiler duty cycle: capture one CPU window every interval (0 = profiler off)")
 	flag.DurationVar(&o.profWindow, "profile-window", 0, "CPU capture window length (0 = interval/50, at most 10s)")
@@ -180,8 +169,6 @@ func validate(o *options) error {
 		return cli.Usagef("-max-sessions must be positive, got %d", o.maxSess)
 	case o.sessTTL <= 0:
 		return cli.Usagef("-session-ttl must be positive, got %v", o.sessTTL)
-	case o.otlpSample < 0 || o.otlpSample > 1:
-		return cli.Usagef("-otlp-sample must be in [0,1], got %g", o.otlpSample)
 	case o.profInterval < 0:
 		return cli.Usagef("-profile-interval must be non-negative, got %v", o.profInterval)
 	case o.profWindow < 0:
@@ -193,17 +180,6 @@ func validate(o *options) error {
 }
 
 func run(o *options) error {
-	// The exporter is constructed here, not inside server.New, so sink
-	// errors (unreachable parse, unwritable file) fail startup loudly.
-	exporter, err := obs.NewExporter(obs.ExporterConfig{
-		Endpoint:      o.otlpEndpoint,
-		File:          o.otlpFile,
-		SampleRatio:   o.otlpSample,
-		SlowThreshold: o.slow,
-	})
-	if err != nil {
-		return err
-	}
 	snapshots, err := server.NewSnapshotStore(o.snapshotDir)
 	if err != nil {
 		return err
@@ -220,16 +196,12 @@ func run(o *options) error {
 		SlowThreshold:  o.slow,
 		MaxSessions:    o.maxSess,
 		SessionTTL:     o.sessTTL,
-		Exporter:       exporter,
 		Snapshots:      snapshots,
 		Profiler:       profiling.NewProfiler(profiling.Config{Interval: o.profInterval, Window: o.profWindow}),
 	})
 	errc := make(chan error, 1)
 	go func() { errc <- s.ListenAndServe() }()
 	slog.Info("ridserve: listening", "addr", o.addr)
-	if exporter != nil {
-		slog.Info("ridserve: otlp export on", "endpoint", o.otlpEndpoint, "file", o.otlpFile, "sample", o.otlpSample)
-	}
 
 	if o.debugAddr != "" {
 		debug := &http.Server{Addr: o.debugAddr, Handler: s.DebugHandler(), ReadHeaderTimeout: 10 * time.Second}

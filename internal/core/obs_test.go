@@ -216,34 +216,4 @@ func BenchmarkDetectObsOverhead(b *testing.B) {
 			}
 		}
 	})
-	// The full serving path: recorder plus OTLP enqueue against an
-	// unreachable collector. The exporter's acceptance bar is < 2% over
-	// "recorder" alone — the request path pays one channel send; marshal,
-	// connect failures and retries all live on the background worker.
-	b.Run("recorder+export", func(b *testing.B) {
-		exp, err := obs.NewExporter(obs.ExporterConfig{
-			Endpoint:   "http://127.0.0.1:9/v1/traces", // discard port: connect always fails
-			MaxRetries: -1,
-			RetryBase:  time.Millisecond,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer exp.Close()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			rec := obs.NewRecorder()
-			tc := obs.NewTraceContext()
-			ctx := obs.WithRecorder(obs.WithTraceContext(context.Background(), tc), rec)
-			start := time.Now()
-			if _, err := rid.DetectContext(ctx, sim.snap); err != nil {
-				b.Fatal(err)
-			}
-			exp.Enqueue(&obs.RequestTelemetry{
-				Trace: tc, Route: "bench/detect",
-				Start: start, End: time.Now(),
-				HTTPStatus: 200, Rec: rec,
-			})
-		}
-	})
 }

@@ -1,8 +1,7 @@
 // Package gen builds synthetic weighted signed directed networks: generic
-// random-graph models (Erdős–Rényi, preferential attachment) plus tree
-// shapes used by the ISOMIT dynamic programs, and dataset presets that
-// stand in for the SNAP Epinions/Slashdot networks the paper evaluates on
-// (see DESIGN.md §2 for the substitution rationale).
+// random-graph models (Erdős–Rényi, preferential attachment) and dataset
+// presets that stand in for the SNAP Epinions/Slashdot networks the paper
+// evaluates on (see DESIGN.md §2 for the substitution rationale).
 package gen
 
 import (

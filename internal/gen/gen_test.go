@@ -124,126 +124,6 @@ func TestPreferentialAttachmentNoDuplicateEdges(t *testing.T) {
 	}
 }
 
-func edgesOf(t *testing.T, g *sgraph.Graph) map[[2]int]sgraph.Edge {
-	t.Helper()
-	m := make(map[[2]int]sgraph.Edge, g.NumEdges())
-	g.Edges(func(e sgraph.Edge) { m[[2]int{e.From, e.To}] = e })
-	return m
-}
-
-func checkTree(t *testing.T, g *sgraph.Graph) {
-	t.Helper()
-	if g.NumEdges() != g.NumNodes()-1 {
-		t.Fatalf("tree edges = %d, want n-1 = %d", g.NumEdges(), g.NumNodes()-1)
-	}
-	for v := 1; v < g.NumNodes(); v++ {
-		if g.InDegree(v) != 1 {
-			t.Errorf("node %d in-degree = %d, want 1", v, g.InDegree(v))
-		}
-	}
-	if g.InDegree(0) != 0 {
-		t.Errorf("root in-degree = %d, want 0", g.InDegree(0))
-	}
-	// Connectivity: every node reachable from the root.
-	comps := sgraph.ConnectedComponents(g)
-	if len(comps) != 1 {
-		t.Errorf("tree has %d components, want 1", len(comps))
-	}
-}
-
-func TestRandomTree(t *testing.T) {
-	g, err := RandomTree(TreeConfig{Nodes: 200, MaxChildren: 3, PositiveRatio: 0.7}, xrand.New(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkTree(t, g)
-	for u := 0; u < g.NumNodes(); u++ {
-		if d := g.OutDegree(u); d > 3 {
-			t.Errorf("node %d has %d children, exceeds MaxChildren 3", u, d)
-		}
-	}
-}
-
-func TestRandomTreeUnboundedFanout(t *testing.T) {
-	g, err := RandomTree(TreeConfig{Nodes: 50, PositiveRatio: 1}, xrand.New(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkTree(t, g)
-	g.Edges(func(e sgraph.Edge) {
-		if e.Sign != sgraph.Positive {
-			t.Errorf("PositiveRatio=1 produced negative edge %+v", e)
-		}
-	})
-}
-
-func TestBinaryTree(t *testing.T) {
-	g, err := BinaryTree(TreeConfig{Nodes: 31, PositiveRatio: 0.5}, xrand.New(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkTree(t, g)
-	em := edgesOf(t, g)
-	for i := 0; i < 15; i++ {
-		if _, ok := em[[2]int{i, 2*i + 1}]; !ok {
-			t.Errorf("missing edge (%d,%d)", i, 2*i+1)
-		}
-		if _, ok := em[[2]int{i, 2*i + 2}]; !ok {
-			t.Errorf("missing edge (%d,%d)", i, 2*i+2)
-		}
-	}
-	for u := 0; u < g.NumNodes(); u++ {
-		if g.OutDegree(u) > 2 {
-			t.Errorf("node %d fan-out %d > 2", u, g.OutDegree(u))
-		}
-	}
-}
-
-func TestPathAndStar(t *testing.T) {
-	p, err := Path(TreeConfig{Nodes: 10, PositiveRatio: 0.5}, xrand.New(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkTree(t, p)
-	for i := 0; i+1 < 10; i++ {
-		if _, ok := p.HasEdge(i, i+1); !ok {
-			t.Errorf("path missing edge (%d,%d)", i, i+1)
-		}
-	}
-	s, err := Star(TreeConfig{Nodes: 10, PositiveRatio: 0.5}, xrand.New(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkTree(t, s)
-	if s.OutDegree(0) != 9 {
-		t.Errorf("star center fan-out = %d, want 9", s.OutDegree(0))
-	}
-}
-
-func TestSingleNodeTrees(t *testing.T) {
-	for _, fn := range []func(TreeConfig, *xrand.Rand) (*sgraph.Graph, error){RandomTree, BinaryTree, Path, Star} {
-		g, err := fn(TreeConfig{Nodes: 1}, xrand.New(1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if g.NumNodes() != 1 || g.NumEdges() != 0 {
-			t.Errorf("single-node tree = %d nodes %d edges", g.NumNodes(), g.NumEdges())
-		}
-	}
-}
-
-func TestTreeConfigValidate(t *testing.T) {
-	if _, err := RandomTree(TreeConfig{Nodes: 0}, xrand.New(1)); err == nil {
-		t.Error("want error for zero nodes")
-	}
-	if _, err := RandomTree(TreeConfig{Nodes: 5, MaxChildren: -1}, xrand.New(1)); err == nil {
-		t.Error("want error for negative MaxChildren")
-	}
-	if _, err := BinaryTree(TreeConfig{Nodes: 5, PositiveRatio: 2}, xrand.New(1)); err == nil {
-		t.Error("want error for ratio > 1")
-	}
-}
-
 func TestPresets(t *testing.T) {
 	if len(Presets()) != 2 {
 		t.Fatalf("Presets() = %d entries, want 2", len(Presets()))

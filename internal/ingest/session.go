@@ -88,18 +88,7 @@ type Session struct {
 	// so "dirty" is exactly "no cache entry".
 	cache  map[int32]*core.ComponentDetection
 	events int64
-	// root is the trace context the session was created under; pending
-	// collects the trace refs of event batches applied since the last
-	// successful Detect, so the detect span can link back to the event
-	// spans that dirtied its components.
-	root    obs.SpanRef
-	pending []obs.SpanRef
 }
-
-// maxPendingLinks bounds the event-span refs buffered between detects so a
-// chatty stream cannot grow the slice without bound; OTLP links beyond the
-// cap are the least interesting (oldest already-linked context wins).
-const maxPendingLinks = 64
 
 // NewSession builds an empty session (no node infected yet) over g.
 // graphHash labels the network for responses and replay bookkeeping.
@@ -122,15 +111,6 @@ func NewSession(g *sgraph.Graph, graphHash string, ridCfg core.RIDConfig) (*Sess
 
 // GraphHash returns the network content hash the session was created with.
 func (s *Session) GraphHash() string { return s.graphHash }
-
-// SetRoot records the trace context the session was created under; detect
-// responses link back to it so an external backend can stitch the whole
-// session lifecycle together.
-func (s *Session) SetRoot(ref obs.SpanRef) {
-	s.mu.Lock()
-	s.root = ref
-	s.mu.Unlock()
-}
 
 // Nodes returns the network's node count.
 func (s *Session) Nodes() int { return s.g.NumNodes() }
@@ -176,9 +156,6 @@ func (s *Session) Apply(ctx context.Context, events []trace.Event) (int, error) 
 		n++
 	}
 	s.events += int64(n)
-	if tc := obs.TraceContextFrom(ctx); tc.Valid() && n > 0 && len(s.pending) < maxPendingLinks {
-		s.pending = append(s.pending, tc.Ref())
-	}
 	if rec := obs.RecorderFrom(ctx); rec != nil && (n > 0 || unions > 0) {
 		var cs obs.CounterSet
 		cs.Ingest.EventsApplied = int64(n)
@@ -274,10 +251,6 @@ type DetectStats struct {
 	Dirty int `json:"dirty"`
 	// Reused components served their cached fragment.
 	Reused int `json:"reused"`
-	// Links names the spans this detect should link to: the session's
-	// root trace plus the event batches applied since the last successful
-	// Detect. Export-layer plumbing, not part of the response body.
-	Links []obs.SpanRef `json:"-"`
 }
 
 // Detect runs incremental detection over the current event-sourced
@@ -339,13 +312,5 @@ func (s *Session) Detect(ctx context.Context) (*core.Detection, DetectStats, err
 		cs.Ingest.ComponentsReused = int64(stats.Reused)
 		rec.MergeCounterSet(&cs)
 	}
-	// Only a successful detect consumes the pending event links: a failed
-	// or cancelled one leaves them for the retry, which still re-solves
-	// the same dirtied components.
-	if s.root.TraceID != "" {
-		stats.Links = append(stats.Links, s.root)
-	}
-	stats.Links = append(stats.Links, s.pending...)
-	s.pending = s.pending[:0]
 	return core.MergeComponents(frags), stats, nil
 }

@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 
 	"repro/internal/cascade"
-	"repro/internal/gen"
 	"repro/internal/sgraph"
 	"repro/internal/xrand"
 )
@@ -167,7 +166,7 @@ func TestNetworkLogLikelihood(t *testing.T) {
 func testTree(tb testing.TB, seed uint64, n int) *cascade.Tree {
 	tb.Helper()
 	rng := xrand.New(seed)
-	g, err := gen.RandomTree(gen.TreeConfig{
+	g, err := RandomTree(TreeConfig{
 		Nodes: n, MaxChildren: 3, PositiveRatio: 0.7,
 		WeightLow: 0.05, WeightHigh: 0.9,
 	}, rng)

@@ -6,7 +6,6 @@ import (
 	"repro/internal/cascade"
 	"repro/internal/core"
 	"repro/internal/diffusion"
-	"repro/internal/gen"
 	"repro/internal/isomit"
 	"repro/internal/xrand"
 )
@@ -23,7 +22,7 @@ func TestRIDAgainstExactSmall(t *testing.T) {
 	agree, total := 0, 0
 	for seed := uint64(0); seed < 12; seed++ {
 		rng := xrand.New(seed)
-		g, err := gen.RandomTree(gen.TreeConfig{
+		g, err := isomit.RandomTree(isomit.TreeConfig{
 			Nodes: 8, MaxChildren: 3, PositiveRatio: 0.7,
 			WeightLow: 0.3, WeightHigh: 0.9,
 		}, rng)

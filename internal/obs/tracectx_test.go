@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"context"
 	"strings"
 	"testing"
 )
@@ -41,103 +40,92 @@ func TestParseTraceparentNotSampled(t *testing.T) {
 	}
 }
 
+// traceparentRejections are malformed headers ParseTraceparent must
+// refuse; FuzzTraceparent seeds its corpus from them too.
+var traceparentRejections = []struct{ name, header string }{
+	{"version ff", "ff-" + tpTraceID + "-" + tpSpanID + "-01"},
+	{"uppercase version", "0A-" + tpTraceID + "-" + tpSpanID + "-01"},
+	{"all-zero trace id", "00-00000000000000000000000000000000-" + tpSpanID + "-01"},
+	{"all-zero span id", "00-" + tpTraceID + "-0000000000000000-01"},
+	{"uppercase trace id", "00-" + strings.ToUpper(tpTraceID) + "-" + tpSpanID + "-01"},
+	{"non-hex trace id", "00-" + strings.Repeat("g", 32) + "-" + tpSpanID + "-01"},
+	{"short", "00-abc-def-01"},
+	{"empty", ""},
+	{"truncated trace id", "00-" + tpTraceID[:31] + "--" + tpSpanID + "-01"},
+	{"misplaced delimiters", "00_" + tpTraceID + "-" + tpSpanID + "-01"},
+	{"uppercase flags", "00-" + tpTraceID + "-" + tpSpanID + "-0F"},
+	{"version 00 extra data", tpValid + "-extra"},
+	{"future version glued", "cc-" + tpTraceID + "-" + tpSpanID + "-01extra"},
+}
+
+// traceparentFutureVersions are headers of an unknown future version that
+// ParseTraceparent accepts with the version-00 fields intact.
+var traceparentFutureVersions = []string{
+	"cc-" + tpTraceID + "-" + tpSpanID + "-01",
+	"cc-" + tpTraceID + "-" + tpSpanID + "-01-what-the-future-holds",
+}
+
 func TestParseTraceparentRejections(t *testing.T) {
-	cases := map[string]string{
-		"version ff":            "ff-" + tpTraceID + "-" + tpSpanID + "-01",
-		"uppercase version":     "0A-" + tpTraceID + "-" + tpSpanID + "-01",
-		"all-zero trace id":     "00-00000000000000000000000000000000-" + tpSpanID + "-01",
-		"all-zero span id":      "00-" + tpTraceID + "-0000000000000000-01",
-		"uppercase trace id":    "00-" + strings.ToUpper(tpTraceID) + "-" + tpSpanID + "-01",
-		"non-hex trace id":      "00-" + strings.Repeat("g", 32) + "-" + tpSpanID + "-01",
-		"short":                 "00-abc-def-01",
-		"empty":                 "",
-		"truncated trace id":    "00-" + tpTraceID[:31] + "--" + tpSpanID + "-01",
-		"misplaced delimiters":  "00_" + tpTraceID + "-" + tpSpanID + "-01",
-		"uppercase flags":       "00-" + tpTraceID + "-" + tpSpanID + "-0F",
-		"version 00 extra data": tpValid + "-extra",
-		"future version glued":  "cc-" + tpTraceID + "-" + tpSpanID + "-01extra",
-	}
-	for name, h := range cases {
-		if _, err := ParseTraceparent(h); err == nil {
-			t.Errorf("%s: ParseTraceparent(%q) accepted, want error", name, h)
+	for _, c := range traceparentRejections {
+		if _, err := ParseTraceparent(c.header); err == nil {
+			t.Errorf("%s: ParseTraceparent(%q) accepted, want error", c.name, c.header)
 		}
 	}
 }
 
 func TestParseTraceparentFutureVersion(t *testing.T) {
-	// A future version with version-00 field layout parses, ids intact.
-	tc, err := ParseTraceparent("cc-" + tpTraceID + "-" + tpSpanID + "-01")
-	if err != nil {
-		t.Fatalf("bare future version: %v", err)
-	}
-	if tc.TraceID != tpTraceID || tc.SpanID != tpSpanID || !tc.Sampled() {
-		t.Fatalf("future-version fields mangled: %+v", tc)
-	}
-	// Extra '-'-separated data passes through (the forward-compat rule).
-	tc, err = ParseTraceparent("cc-" + tpTraceID + "-" + tpSpanID + "-01-what-the-future-holds")
-	if err != nil {
-		t.Fatalf("future version with extra data: %v", err)
-	}
-	if tc.TraceID != tpTraceID {
-		t.Fatalf("trace id = %q, want %q", tc.TraceID, tpTraceID)
-	}
-}
-
-func TestParseTraceState(t *testing.T) {
-	got, err := ParseTraceState("congo=t61rcWkgMzE, rojo=00f067aa0ba902b7")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := "congo=t61rcWkgMzE,rojo=00f067aa0ba902b7"; got != want {
-		t.Fatalf("normalized = %q, want %q", got, want)
-	}
-	// Empty members from doubled or trailing commas are dropped.
-	if got, err := ParseTraceState("a=1,,b=2,"); err != nil || got != "a=1,b=2" {
-		t.Fatalf("empty members: got %q, %v", got, err)
-	}
-	// Vendor/tenant keys with @ are legal.
-	if _, err := ParseTraceState("t61@vendor=alpha"); err != nil {
-		t.Fatalf("@-key rejected: %v", err)
-	}
-}
-
-func TestParseTraceStateRejections(t *testing.T) {
-	many := make([]string, 33)
-	for i := range many {
-		many[i] = "k" + strings.Repeat("x", i+1) + "=v"
-	}
-	cases := map[string]string{
-		"no equals":        "congot61rcWkgMzE",
-		"uppercase key":    "Congo=1",
-		"comma in value":   "a=b,c",
-		"equals in value":  "a=b=c",
-		"control value":    "a=b\x01",
-		"long key":         strings.Repeat("k", 257) + "=v",
-		"long value":       "a=" + strings.Repeat("v", 257),
-		"over 32 members":  strings.Join(many, ","),
-		"empty key member": "=v",
-	}
-	for name, h := range cases {
-		if _, err := ParseTraceState(h); err == nil {
-			t.Errorf("%s: ParseTraceState(%q) accepted, want error", name, h)
+	// A future version with version-00 field layout parses, ids intact;
+	// extra '-'-separated data passes through (the forward-compat rule).
+	for _, h := range traceparentFutureVersions {
+		tc, err := ParseTraceparent(h)
+		if err != nil {
+			t.Fatalf("ParseTraceparent(%q): %v", h, err)
+		}
+		if tc.TraceID != tpTraceID || tc.SpanID != tpSpanID || !tc.Sampled() {
+			t.Fatalf("future-version fields mangled: %+v", tc)
 		}
 	}
 }
 
-func TestDeriveSpanID(t *testing.T) {
-	a := DeriveSpanID(tpSpanID, "tree_dp")
-	if a != DeriveSpanID(tpSpanID, "tree_dp") {
-		t.Fatal("DeriveSpanID must be deterministic")
+// maxTraceparentAllocs bounds the allocations of one ParseTraceparent call
+// (an accepted one re-serialized and parsed again included); the bound
+// must not grow with the header's length.
+const maxTraceparentAllocs = 8
+
+// FuzzTraceparent holds the one inbound header decoder to three rules: a
+// rejected header never panics, an accepted one round-trips through
+// Traceparent (a future version re-serializes as 00 and parses back to the
+// same context), and a call costs at most maxTraceparentAllocs
+// allocations.
+func FuzzTraceparent(f *testing.F) {
+	f.Add(tpValid)
+	f.Add("00-" + tpTraceID + "-" + tpSpanID + "-00")
+	for _, h := range traceparentFutureVersions {
+		f.Add(h)
 	}
-	if a == DeriveSpanID(tpSpanID, "components") {
-		t.Fatal("different stage names must derive different span ids")
+	for _, c := range traceparentRejections {
+		f.Add(c.header)
 	}
-	if a == DeriveSpanID("76054be1427f06aa", "tree_dp") {
-		t.Fatal("different parents must derive different span ids")
-	}
-	if len(a) != 16 || !isLowerHex(a) {
-		t.Fatalf("derived span id %q is not 16 lowercase hex chars", a)
-	}
+	f.Fuzz(func(t *testing.T, h string) {
+		tc, err := ParseTraceparent(h)
+		if err == nil {
+			if !tc.Valid() {
+				t.Fatalf("ParseTraceparent(%q) accepted an invalid context %+v", h, tc)
+			}
+			back, err := ParseTraceparent(tc.Traceparent())
+			if err != nil || back != tc {
+				t.Fatalf("ParseTraceparent(%q) = %+v does not round-trip: %+v, %v", h, tc, back, err)
+			}
+		}
+		allocs := testing.AllocsPerRun(10, func() {
+			if tc, err := ParseTraceparent(h); err == nil {
+				_, _ = ParseTraceparent(tc.Traceparent())
+			}
+		})
+		if allocs > maxTraceparentAllocs {
+			t.Fatalf("ParseTraceparent(%q) costs %v allocations, want at most %d", h, allocs, maxTraceparentAllocs)
+		}
+	})
 }
 
 func TestNewTraceContext(t *testing.T) {
@@ -150,41 +138,5 @@ func TestNewTraceContext(t *testing.T) {
 	}
 	if !validSpanID(NewSpanID()) {
 		t.Fatal("NewSpanID must mint a valid span id")
-	}
-}
-
-func TestTraceContextPlumbing(t *testing.T) {
-	if tc := TraceContextFrom(context.Background()); tc.Valid() {
-		t.Fatal("empty context must yield an invalid trace context")
-	}
-	tc := NewTraceContext()
-	ctx := WithTraceContext(context.Background(), tc)
-	if got := TraceContextFrom(ctx); got != tc {
-		t.Fatalf("round-trip = %+v, want %+v", got, tc)
-	}
-}
-
-func TestTelemetrySlot(t *testing.T) {
-	// All methods must be nil-safe so handlers publish unconditionally.
-	var nilSlot *Telemetry
-	nilSlot.SetRecorder(NewRecorder())
-	nilSlot.SetDetail("x")
-	nilSlot.AddLinks(SpanRef{TraceID: tpTraceID, SpanID: tpSpanID})
-	if rec, links, detail := nilSlot.Snapshot(); rec != nil || links != nil || detail != "" {
-		t.Fatal("nil slot snapshot must be empty")
-	}
-	if TelemetryFrom(context.Background()) != nil {
-		t.Fatal("empty context must yield a nil slot")
-	}
-
-	slot := &Telemetry{}
-	ctx := WithTelemetry(context.Background(), slot)
-	rec := NewRecorder()
-	TelemetryFrom(ctx).SetRecorder(rec)
-	TelemetryFrom(ctx).SetDetail("detector=rid")
-	TelemetryFrom(ctx).AddLinks(SpanRef{TraceID: tpTraceID, SpanID: tpSpanID})
-	gotRec, links, detail := slot.Snapshot()
-	if gotRec != rec || detail != "detector=rid" || len(links) != 1 {
-		t.Fatalf("snapshot = (%p, %v, %q)", gotRec, links, detail)
 	}
 }

@@ -352,10 +352,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}, s.cache.Len(), s.cache.Capacity())
 	sessions := s.sessions.Stats()
 	snap.Sessions = &sessions
-	if s.exporter != nil {
-		export := s.exporter.Stats()
-		snap.Export = &export
-	}
 	snap.Profiling = s.profilingSnapshot()
 	switch format := r.URL.Query().Get("format"); format {
 	case "", "json":

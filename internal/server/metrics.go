@@ -257,9 +257,6 @@ type Snapshot struct {
 	// cumulative evictions and capacity rejections). Populated by the
 	// /metrics handler, which owns the session manager.
 	Sessions *ingest.ManagerStats `json:"sessions,omitempty"`
-	// Export reports OTLP span-exporter counters. Populated by the
-	// /metrics handler when an exporter is configured.
-	Export *obs.ExporterStats `json:"export,omitempty"`
 	// Profiling reports the continuous profiler's lifetime aggregates:
 	// window counters and CPU seconds attributed per route/model/stage
 	// pprof label. Populated by the /metrics handler; Enabled is false

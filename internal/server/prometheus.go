@@ -114,23 +114,6 @@ func renderMetricFamilies(p *obs.PromWriter, s *Snapshot) {
 		p.IntSample("ridserve_sessions_rejected_total", nil, sess.Rejected)
 	}
 
-	if ex := s.Export; ex != nil {
-		p.Header("ridserve_otlp_enqueued_total", "Request telemetry accepted for OTLP export.", "counter")
-		p.IntSample("ridserve_otlp_enqueued_total", nil, ex.Enqueued)
-		p.Header("ridserve_otlp_sampled_out_total", "Request telemetry dropped by head sampling.", "counter")
-		p.IntSample("ridserve_otlp_sampled_out_total", nil, ex.SampledOut)
-		p.Header("ridserve_otlp_dropped_queue_total", "Request telemetry dropped on a full export queue.", "counter")
-		p.IntSample("ridserve_otlp_dropped_queue_total", nil, ex.DroppedQueue)
-		p.Header("ridserve_otlp_dropped_send_total", "Request telemetry dropped after exhausting send retries.", "counter")
-		p.IntSample("ridserve_otlp_dropped_send_total", nil, ex.DroppedSend)
-		p.Header("ridserve_otlp_retries_total", "OTLP batch send retries.", "counter")
-		p.IntSample("ridserve_otlp_retries_total", nil, ex.Retries)
-		p.Header("ridserve_otlp_exported_batches_total", "OTLP batches delivered to every configured sink.", "counter")
-		p.IntSample("ridserve_otlp_exported_batches_total", nil, ex.ExportedBatches)
-		p.Header("ridserve_otlp_exported_spans_total", "OTLP spans delivered to every configured sink.", "counter")
-		p.IntSample("ridserve_otlp_exported_spans_total", nil, ex.ExportedSpans)
-	}
-
 	if rt := s.Runtime; rt != nil {
 		p.Header("ridserve_go_goroutines", "Live goroutines.", "gauge")
 		p.IntSample("ridserve_go_goroutines", nil, rt.Goroutines)

@@ -60,37 +60,6 @@ func TestPrometheusConformance(t *testing.T) {
 	}
 }
 
-// TestPrometheusExporterFamilies runs the strict parser again with the OTLP
-// exporter wired in, which adds the ridserve_otlp_* counter families to the
-// exposition.
-func TestPrometheusExporterFamilies(t *testing.T) {
-	ts, exp, _ := newTracedServer(t, 1)
-	tr := sampleTrace(t, 52, 150, 700, 3)
-	if resp, body := postJSON(t, ts, "/v1/detect", DetectRequest{Trace: tr, Beta: 0.3}); resp.StatusCode != http.StatusOK {
-		t.Fatalf("detect status = %d, body %s", resp.StatusCode, body)
-	}
-	resp, body := getBody(t, ts, "/metrics?format=prometheus")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("metrics status = %d", resp.StatusCode)
-	}
-	text := string(body)
-	checkPromConformance(t, text)
-	for _, want := range []string{
-		"ridserve_otlp_enqueued_total ",
-		"ridserve_otlp_sampled_out_total ",
-		"ridserve_otlp_dropped_queue_total ",
-		"ridserve_otlp_dropped_send_total ",
-		"ridserve_otlp_retries_total ",
-		"ridserve_otlp_exported_batches_total ",
-		"ridserve_otlp_exported_spans_total ",
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("exposition missing %q", want)
-		}
-	}
-	exp.Close()
-}
-
 var (
 	promMetricNameRE = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
 	promLabelNameRE  = regexp.MustCompile(`^[a-zA-Z_][a-zA-Z0-9_]*$`)

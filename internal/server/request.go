@@ -72,14 +72,12 @@ func (s *Server) resolveGraph(ctx context.Context, t *trace.Trace, hash string) 
 }
 
 // scope is what one compute request leaves behind: its pipeline Recorder
-// (attached to ctx and published to the exporter's telemetry slot), a
-// flight record, and — when its work took effect — the registry's stage
-// histograms, counters and latency histogram.
+// (attached to ctx), a flight record, and — when its work took effect —
+// the registry's stage histograms, counters and latency histogram.
 type scope struct {
 	s      *Server
 	ctx    context.Context
 	rec    *obs.Recorder
-	telem  *obs.Telemetry
 	route  string
 	label  string
 	detail string
@@ -94,19 +92,10 @@ type scope struct {
 // Recorder. A success observes its latency under label, unless label is
 // empty.
 func (s *Server) begin(ctx context.Context, route, label, detail string) scope {
-	sc := scope{s: s, rec: obs.NewRecorder(), telem: obs.TelemetryFrom(ctx),
-		route: route, label: label, start: time.Now()}
+	sc := scope{s: s, rec: obs.NewRecorder(), route: route, label: label,
+		detail: detail, start: time.Now()}
 	sc.ctx = obs.WithRecorder(ctx, sc.rec)
-	sc.telem.SetRecorder(sc.rec)
-	sc.setDetail(detail)
 	return sc
-}
-
-// setDetail sets the free-form request context shown in the flight record
-// and exported span.
-func (sc *scope) setDetail(detail string) {
-	sc.detail = detail
-	sc.telem.SetDetail(detail)
 }
 
 // end files the flight record — every outcome, with whatever spans and

@@ -70,11 +70,6 @@ type Config struct {
 	// SessionTTL is the idle lifetime of an ingest session: one untouched
 	// for longer is evicted lazily. Zero defaults to 15 minutes.
 	SessionTTL time.Duration
-	// Exporter, when non-nil, receives every completed request's telemetry
-	// (tail-sampled) for OTLP/JSON export. The server takes ownership:
-	// Shutdown flushes and closes it. Constructed by the caller so sink
-	// errors (bad endpoint, unwritable file) surface at startup.
-	Exporter *obs.Exporter
 	// Snapshots, when non-nil, persists built networks as CSR snapshot
 	// files keyed by content hash, letting restarts and replicas warm-load
 	// graphs (zero-copy mmap) instead of rebuilding them from wire traces.
@@ -130,7 +125,6 @@ type Server struct {
 	reg       *Registry
 	flight    *obs.FlightRecorder
 	sessions  *ingest.Manager
-	exporter  *obs.Exporter
 	profiler  *profiling.Profiler
 	mux       *http.ServeMux
 	http      *http.Server
@@ -146,7 +140,6 @@ func New(cfg Config) *Server {
 		snapshots: cfg.Snapshots,
 		reg:       NewRegistry(),
 		sessions:  ingest.NewManager(ingest.ManagerConfig{MaxSessions: cfg.MaxSessions, TTL: cfg.SessionTTL}),
-		exporter:  cfg.Exporter,
 		profiler:  cfg.Profiler,
 		mux:       http.NewServeMux(),
 	}
@@ -200,12 +193,10 @@ func (s *Server) ListenAndServe() error {
 
 // Shutdown drains the server: stop accepting connections, wait for
 // in-flight requests up to ctx's deadline, let the worker pool finish
-// every queued job, then flush and close the span exporter so telemetry
-// for the drained requests is not lost.
+// every queued job, then stop the profiler.
 func (s *Server) Shutdown(ctx context.Context) error {
 	err := s.http.Shutdown(ctx)
 	s.pool.Close()
-	s.exporter.Close()
 	s.profiler.Stop()
 	return err
 }
@@ -223,18 +214,14 @@ func (r *statusRecorder) WriteHeader(status int) {
 
 // instrument wraps a handler with request counting, route latency, W3C
 // trace-context propagation (inbound traceparent honored, the response
-// carries this hop's traceparent), tail-sampled OTLP span export, and a
-// structured access log. The trace context and a mutable telemetry slot
-// travel via context so handlers hand their pipeline Recorder and span
-// links back up for export after the response is written.
+// carries this hop's traceparent), and a structured access log. The trace
+// id travels via ctx, so the flight record, log lines and exemplars of one
+// request all carry it.
 func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		tc, parentSpanID := s.inboundTrace(r)
-		ctx := obs.WithTraceContext(r.Context(), tc)
-		ctx = obs.WithTraceID(ctx, tc.TraceID)
-		slot := &obs.Telemetry{}
-		ctx = obs.WithTelemetry(ctx, slot)
+		tc := inboundTrace(r)
+		ctx := obs.WithTraceID(r.Context(), tc.TraceID)
 		// The header goes out before the handler writes: the caller gets
 		// this hop's span id as its parent for any follow-up.
 		w.Header().Set("traceparent", tc.Traceparent())
@@ -248,20 +235,6 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 		elapsed := time.Since(start)
 		s.reg.CountRequest(route, rec.status)
 		s.reg.ObserveExemplar("route."+route, elapsed, tc.TraceID)
-		if s.exporter != nil {
-			pipeRec, links, detail := slot.Snapshot()
-			s.exporter.Enqueue(&obs.RequestTelemetry{
-				Trace:        tc,
-				ParentSpanID: parentSpanID,
-				Route:        route,
-				Detail:       detail,
-				Start:        start,
-				End:          start.Add(elapsed),
-				HTTPStatus:   rec.status,
-				Rec:          pipeRec,
-				Links:        links,
-			})
-		}
 		slog.LogAttrs(ctx, slog.LevelInfo, "request",
 			slog.String("trace_id", tc.TraceID),
 			slog.String("route", route),
@@ -283,30 +256,16 @@ func (s *Server) recordFlight(fr obs.FlightRecord) {
 	s.flight.Record(fr)
 }
 
-// inboundTrace resolves the request's trace context: a W3C traceparent
-// (malformed tracestate is dropped without invalidating it, per spec), or
-// else a freshly minted root. In every case this process mints its own
-// span id; the remote parent's span id is returned separately for the
-// exported span's parentSpanId. The sampled flag ORs in
-// the exporter's deterministic head-sampling decision so the flag the
-// caller reads back agrees with what the fleet actually exports.
-func (s *Server) inboundTrace(r *http.Request) (obs.TraceContext, string) {
-	var tc obs.TraceContext
-	parentSpanID := ""
-	if parsed, err := obs.ParseTraceparent(r.Header.Get("traceparent")); err == nil {
-		tc = parsed
-		parentSpanID = parsed.SpanID
-		if ts, err := obs.ParseTraceState(r.Header.Get("tracestate")); err == nil {
-			tc.TraceState = ts
-		}
-	} else {
+// inboundTrace resolves the request's trace context: a W3C traceparent,
+// or else a freshly minted root. In every case this process mints its own
+// span id; the trace id and flags pass through unchanged.
+func inboundTrace(r *http.Request) obs.TraceContext {
+	tc, err := obs.ParseTraceparent(r.Header.Get("traceparent"))
+	if err != nil {
 		tc = obs.NewTraceContext()
 	}
 	tc.SpanID = obs.NewSpanID()
-	if s.exporter.Sampled(tc.TraceID) {
-		tc.Flags |= obs.FlagSampled
-	}
-	return tc, parentSpanID
+	return tc
 }
 
 // poolResult is what a pooled job hands back to its waiting handler.

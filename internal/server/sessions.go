@@ -103,12 +103,6 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, badRequest("%v", err))
 		return
 	}
-	// The creating request's trace is the session's root: every later
-	// detect on this session links back to it, stitching the multi-request
-	// investigation into one traceable unit.
-	if tc := obs.TraceContextFrom(r.Context()); tc.Valid() {
-		sess.SetRoot(tc.Ref())
-	}
 	id, err := s.sessions.Create(sess)
 	if errors.Is(err, ingest.ErrSessionLimit) {
 		s.reg.CountRejected()
@@ -149,7 +143,7 @@ func (s *Server) handleSessionEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	sc := s.begin(r.Context(), "/v1/sessions/events", "", "")
 	applied, err := sess.Apply(sc.ctx, req.Events)
-	sc.setDetail(fmt.Sprintf("events=%d applied=%d", len(req.Events), applied))
+	sc.detail = fmt.Sprintf("events=%d applied=%d", len(req.Events), applied)
 	resp := EventsResponse{
 		Applied:     applied,
 		EventsTotal: sess.Events(),
@@ -193,16 +187,13 @@ func (s *Server) sessionDetect(ctx context.Context, sess *ingest.Session, k int)
 	sc := s.begin(ctx, "/v1/sessions/detect", "detect.session", "")
 	defer func() { sc.end(err) }()
 	det, stats, err := sess.Detect(sc.ctx)
-	sc.setDetail(fmt.Sprintf("dirty=%d reused=%d", stats.Dirty, stats.Reused))
+	sc.detail = fmt.Sprintf("dirty=%d reused=%d", stats.Dirty, stats.Reused)
 	if errors.Is(err, cascade.ErrNoInfected) {
 		return nil, badRequest("session has no infected nodes yet; apply events first")
 	}
 	if err != nil {
 		return nil, err
 	}
-	// Link the detect span to the session root and the event batches that
-	// dirtied the components it just re-solved.
-	sc.telem.AddLinks(stats.Links...)
 	return &SessionDetectResponse{
 		Detector:     "RID(incremental)",
 		Initiators:   rankInitiators(det, k),

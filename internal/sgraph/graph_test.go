@@ -454,19 +454,21 @@ func TestCommonNeighborsAndAdamicAdar(t *testing.T) {
 		{From: 2, To: 3, Sign: Positive, Weight: 0.5},
 		{From: 4, To: 3, Sign: Positive, Weight: 0.5},
 	})
-	if got := CommonNeighbors(g, 0, 3); got != 2 {
-		t.Errorf("CommonNeighbors = %d, want 2", got)
+	idx := newNeighborIndex(g)
+	invLogDeg := idx.invLogDegrees()
+	if got := idx.common(0, 3); got != 2 {
+		t.Errorf("common = %d, want 2", got)
 	}
 	// Node 1 and 2 each have degree 2 -> AA = 2/log(2).
 	want := 2 / math.Log(2)
-	if got := AdamicAdar(g, 0, 3); math.Abs(got-want) > 1e-12 {
-		t.Errorf("AdamicAdar = %g, want %g", got, want)
+	if got := idx.adamicAdar(invLogDeg, 0, 3); math.Abs(got-want) > 1e-12 {
+		t.Errorf("adamicAdar = %g, want %g", got, want)
 	}
-	if got := CommonNeighbors(g, 4, 0); got != 0 {
-		t.Errorf("no-overlap CommonNeighbors = %d", got)
+	if got := idx.common(4, 0); got != 0 {
+		t.Errorf("no-overlap common = %d", got)
 	}
-	if got := AdamicAdar(g, 4, 0); got != 0 {
-		t.Errorf("no-overlap AdamicAdar = %g", got)
+	if got := idx.adamicAdar(invLogDeg, 4, 0); got != 0 {
+		t.Errorf("no-overlap adamicAdar = %g", got)
 	}
 }
 

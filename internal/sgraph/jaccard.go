@@ -40,63 +40,9 @@ func Jaccard(g *Graph, v, u int) float64 {
 	return float64(inter) / float64(union)
 }
 
-// CommonNeighbors returns |Γout(v) ∩ Γin(u)| for social link (v, u) — the
-// raw intimacy count underlying the Jaccard coefficient.
-func CommonNeighbors(g *Graph, v, u int) int {
-	vo := g.out(v)
-	ui := g.in(u)
-	inter := 0
-	i, j := 0, 0
-	for i < len(vo) && j < len(ui) {
-		a := int(g.edgeTo[vo[i]])
-		b := int(g.edgeFrom[ui[j]])
-		switch {
-		case a == b:
-			inter++
-			i++
-			j++
-		case a < b:
-			i++
-		default:
-			j++
-		}
-	}
-	return inter
-}
-
-// AdamicAdar returns the Adamic-Adar index of social link (v, u): the sum
-// over common neighbors w of 1/log(deg(w)), where deg is total (in+out)
-// degree — frequent intermediaries count less (Liben-Nowell & Kleinberg
-// 2007, the paper's reference [18] for link weighting).
-func AdamicAdar(g *Graph, v, u int) float64 {
-	vo := g.out(v)
-	ui := g.in(u)
-	sum := 0.0
-	i, j := 0, 0
-	for i < len(vo) && j < len(ui) {
-		a := int(g.edgeTo[vo[i]])
-		b := int(g.edgeFrom[ui[j]])
-		switch {
-		case a == b:
-			if d := g.OutDegree(a) + g.InDegree(a); d > 1 {
-				sum += 1 / math.Log(float64(d))
-			} else {
-				sum += 1 / math.Log(2)
-			}
-			i++
-			j++
-		case a < b:
-			i++
-		default:
-			j++
-		}
-	}
-	return sum
-}
-
 // neighborIndex materializes, once per weighting pass, the sorted
 // out-neighbor and in-neighbor ID lists the topological scores merge per
-// edge. The per-pair functions above walk g.outIdx/g.inIdx and dereference
+// edge. The per-pair Jaccard above walks g.outIdx/g.inIdx and dereferences
 // the edge array at every merge step; over a whole graph that indirection
 // dominates workload generation, so WeightBy/WeightByJaccard flatten the
 // neighborhoods into two contiguous arrays up front and score all edges
@@ -157,7 +103,8 @@ func (idx *neighborIndex) jaccard(v, u int) float64 {
 	return float64(inter) / float64(union)
 }
 
-// common is CommonNeighbors on the flattened index.
+// common returns |Γout(v) ∩ Γin(u)| for social link (v, u) — the raw
+// intimacy count underlying the Jaccard coefficient.
 func (idx *neighborIndex) common(v, u int) int {
 	vo, ui := idx.out[v], idx.in[u]
 	inter := 0
@@ -178,8 +125,11 @@ func (idx *neighborIndex) common(v, u int) int {
 	return inter
 }
 
-// adamicAdar is AdamicAdar on the flattened index, with 1/log(deg) terms
-// precomputed once per node in invLogDeg.
+// adamicAdar returns the Adamic-Adar index of social link (v, u): the sum
+// over common neighbors w of 1/log(deg(w)), where deg is total (in+out)
+// degree — frequent intermediaries count less (Liben-Nowell & Kleinberg
+// 2007, the paper's reference [18] for link weighting). The 1/log(deg)
+// terms are precomputed once per node in invLogDeg.
 func (idx *neighborIndex) adamicAdar(invLogDeg []float64, v, u int) float64 {
 	vo, ui := idx.out[v], idx.in[u]
 	sum := 0.0
@@ -201,7 +151,8 @@ func (idx *neighborIndex) adamicAdar(invLogDeg []float64, v, u int) float64 {
 }
 
 // invLogDegrees precomputes the Adamic-Adar 1/log(deg) contribution per
-// node, matching AdamicAdar's degree floor.
+// node; a node of degree at most 1 counts as degree 2, keeping the term
+// finite.
 func (idx *neighborIndex) invLogDegrees() []float64 {
 	out := make([]float64, len(idx.out))
 	for v := range out {
