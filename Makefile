@@ -21,8 +21,8 @@ race:
 
 # fuzz-smoke runs the arbor kernel-equivalence fuzzer, the ISOMIT tree-solver
 # fuzzer (every DP against its brute-force oracle), the two trace decoder
-# fuzzers, the RIDG snapshot decoder fuzzer and the W3C traceparent decoder
-# fuzzer briefly; CI does the same.
+# fuzzers, the RIDG snapshot decoder fuzzer, the W3C traceparent decoder
+# fuzzer and the SNAP edge-list parser fuzzer briefly; CI does the same.
 # Longer local runs: go test -fuzz FuzzTraceDecode ./internal/trace/
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzKernelEquivalence$$' -fuzztime 10s ./internal/arbor/
@@ -31,6 +31,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzTraceRead$$' -fuzztime 5s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz '^FuzzSnapshotRead$$' -fuzztime 5s ./internal/sgraph/
 	$(GO) test -run '^$$' -fuzz '^FuzzTraceparent$$' -fuzztime 5s ./internal/obs/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseSNAP$$' -fuzztime 5s ./internal/dataset/
 
 bench:
 	$(GO) test -bench=. -benchmem -benchtime 1x .

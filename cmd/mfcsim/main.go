@@ -3,14 +3,14 @@
 // and flip statistics — the quickest way to see how the asymmetric boosting
 // and flipping of MFC change propagation compared to the classical and
 // signed-network models. -model enumerates whatever the diffusion registry
-// holds (currently ic, lt, ltff, mfc, pushpull, sir, voter), so a newly
+// holds (currently ic, lt, mfc, pushpull, sir, voter), so a newly
 // registered model shows up here with no CLI change.
 //
 // Usage:
 //
 //	mfcsim [-dataset Epinions] [-scale 0.02] [-model all|<registered name>]
 //	       [-alpha 3] [-n 0] [-seed-frac 0.01] [-theta 0.5] [-rounds 30]
-//	       [-sir-beta 2] [-sir-gamma 0.3] [-ltff-bias 2] [-seed 1]
+//	       [-sir-beta 2] [-sir-gamma 0.3] [-seed 1]
 //	       [-curves] [-progress] [-log-level info] [-log-format text]
 //
 // -progress streams one line per propagation round (round number, newly
@@ -43,7 +43,6 @@ func main() {
 		rounds   = flag.Int("rounds", 30, "rounds for the voter model")
 		sirBeta  = flag.Float64("sir-beta", 2, "SIR infection multiplier")
 		sirGamma = flag.Float64("sir-gamma", 0.3, "SIR per-round recovery probability")
-		ltffBias = flag.Float64("ltff-bias", 2, "LTFF negativity-bias coefficient")
 		seed     = flag.Uint64("seed", 1, "RNG seed")
 		curves   = flag.Bool("curves", true, "print spread curves as sparklines")
 		progress = flag.Bool("progress", false, "print per-round progress (newly infected, cumulative, flips)")
@@ -59,7 +58,6 @@ func main() {
 		"mfc":   {"alpha": *alpha},
 		"sir":   {"beta": *sirBeta, "gamma": *sirGamma},
 		"voter": {"rounds": *rounds},
-		"ltff":  {"bias": *ltffBias},
 	}
 	if err := run(*ds, *scale, *model, params, *n, *seedFrac, *theta, *seed, *curves, *progress); err != nil {
 		cli.Fatal("mfcsim", err)

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	ridlab [-dataset Epinions] [-file soc-sign.txt] [-load-trace t.json] [-scale 0.02]
-//	       [-method rid|rid-tree|rid-positive|rumor-centrality|jordan-center|degree-max|ensemble]
+//	       [-method rid|rid-tree|rid-positive|rumor-centrality]
 //	       [-beta 0.3] [-alpha 3] [-n 0] [-seed-frac 0.05] [-theta 0.5]
 //	       [-mask 0] [-seed 1] [-save-trace t.json] [-trace-format json|binary]
 //	       [-dot out.dot] [-v]
@@ -69,7 +69,7 @@ func main() {
 	flag.StringVar(&o.saveTrace, "save-trace", "", "save the simulated instance to this file")
 	flag.StringVar(&o.traceFormat, "trace-format", "json", "wire format for -save-trace: json or binary (-load-trace auto-detects)")
 	flag.StringVar(&o.dotFile, "dot", "", "write the infected subgraph as Graphviz DOT to this file")
-	flag.StringVar(&o.method, "method", "rid", "detector: rid, rid-tree, rid-positive, rumor-centrality, jordan-center, degree-max, ensemble")
+	flag.StringVar(&o.method, "method", "rid", "detector: rid, rid-tree, rid-positive, rumor-centrality")
 	flag.Float64Var(&o.scale, "scale", 0.02, "preset scale in (0,1]")
 	flag.Float64Var(&o.beta, "beta", 0.3, "RID initiator penalty β")
 	flag.Float64Var(&o.alpha, "alpha", 3, "MFC boosting coefficient α")

@@ -274,6 +274,17 @@ func TestRumorCentralityOnePerComponent(t *testing.T) {
 	}
 }
 
+func TestCentersEmptySnapshot(t *testing.T) {
+	g := sgraph.NewBuilder(3).MustBuild()
+	snap, err := cascade.NewSnapshot(g, make([]sgraph.State, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := (RumorCentrality{}).Detect(snap); !errors.Is(err, cascade.ErrNoInfected) {
+		t.Errorf("RumorCentrality on empty snapshot: err = %v, want ErrNoInfected", err)
+	}
+}
+
 func TestRumorCentralityStarCenter(t *testing.T) {
 	// On a star the rumor center is the hub.
 	b := sgraph.NewBuilder(6)
@@ -408,9 +419,6 @@ func TestNewDetector(t *testing.T) {
 		"rid-tree":         "RID-Tree",
 		"rid-positive":     "RID-Positive",
 		"rumor-centrality": "RumorCentrality",
-		"jordan-center":    "JordanCenter",
-		"degree-max":       "DegreeMax",
-		"ensemble":         "RID-Ensemble(2/3)",
 	} {
 		d, err := NewDetector(name, 0, 0, 1)
 		if err != nil {
@@ -420,9 +428,12 @@ func TestNewDetector(t *testing.T) {
 			t.Errorf("%q: built %s, want %s", name, d.Name(), want)
 		}
 	}
-	_, err := NewDetector("nope", 0, 0, 1)
-	if !errors.Is(err, ErrUnknownDetector) || err.Error() != `unknown detector "nope"` {
-		t.Fatalf("unknown name: err = %v", err)
+	// "ensemble" is a retired name: it must stay unknown.
+	for _, name := range []string{"nope", "ensemble"} {
+		_, err := NewDetector(name, 0, 0, 1)
+		if !errors.Is(err, ErrUnknownDetector) || err.Error() != `unknown detector "`+name+`"` {
+			t.Fatalf("unknown name %q: err = %v", name, err)
+		}
 	}
 }
 

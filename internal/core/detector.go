@@ -1,8 +1,8 @@
 // Package core implements the paper's contribution: the RID (Rumor
 // Initiator Detector) framework for the ISOMIT problem, together with the
-// comparison methods of Section IV-B1 (RID-Tree and RID-Positive) and a
-// rumor-centrality comparator (Shah & Zaman) from the related work, which
-// goes beyond the paper's own baselines.
+// comparison methods of Section IV-B1 (RID-Tree and RID-Positive) and
+// rumor centrality (Shah & Zaman), the one comparator from the related
+// work beyond the paper's own baselines.
 //
 // All detectors consume a cascade.Snapshot — the infected signed diffusion
 // network at one moment in time — and return the inferred rumor initiators
@@ -111,21 +111,14 @@ var detectorTable = map[string]func(alpha, beta float64, parallelism int) (Detec
 	"rid-tree":         func(alpha, _ float64, _ int) (Detector, error) { return NewRIDTree(alpha) },
 	"rid-positive":     func(float64, float64, int) (Detector, error) { return RIDPositive{}, nil },
 	"rumor-centrality": func(float64, float64, int) (Detector, error) { return RumorCentrality{}, nil },
-	"jordan-center":    func(float64, float64, int) (Detector, error) { return JordanCenter{}, nil },
-	"degree-max":       func(float64, float64, int) (Detector, error) { return DegreeMax{}, nil },
-	"ensemble": func(alpha, beta float64, parallelism int) (Detector, error) {
-		return NewEnsembleConfig(RIDConfig{Alpha: alpha, Parallelism: parallelism},
-			[]float64{0.5 * beta, beta, 2 * beta}, 2)
-	},
 }
 
 // NewDetector builds a detector by name: "rid", "rid-tree",
-// "rid-positive", "rumor-centrality", "jordan-center", "degree-max" or
-// "ensemble" (RID voting 2-of-3 over β/2, β and 2β). Zero values select
-// the defaults — name "rid", α = 3, β = 0.3 — as an omitted request field
-// does. parallelism is forwarded to the detectors that fan out (RID and
-// the ensemble); results are identical at every setting. An unknown name
-// returns an error wrapping ErrUnknownDetector.
+// "rid-positive" or "rumor-centrality". Zero values select the defaults —
+// name "rid", α = 3, β = 0.3 — as an omitted request field does.
+// parallelism is forwarded to RID, the one detector that fans out; results
+// are identical at every setting. An unknown name returns an error
+// wrapping ErrUnknownDetector.
 func NewDetector(name string, alpha, beta float64, parallelism int) (Detector, error) {
 	if name == "" {
 		name = "rid"

@@ -23,21 +23,15 @@ type LTConfig struct {
 	Counters *obs.CounterSet
 }
 
-// LT runs the Linear Threshold model (Kempe et al. 2003) on the diffusion
-// network, ignoring link signs: each node v draws a threshold θv uniform in
-// [0,1] and activates once the summed weight of its active in-neighbors
-// reaches θv. Activated nodes adopt the majority-signed opinion of the
-// in-neighbor mass that activated them, so the returned cascade still
-// carries signed states for comparison with MFC. In-edge weights are used
-// as-is; the model does not normalize them (callers wanting the classical
-// Σw ≤ 1 premise should prepare weights accordingly). Thin wrapper over
-// the registry's "lt" model; output is bit-identical for a fixed seed.
-func LT(g *sgraph.Graph, initiators []int, states []sgraph.State, cfg LTConfig, rng *xrand.Rand) (*Cascade, error) {
-	return (&ltModel{cfg: cfg}).Run(g, initiators, states, rng)
-}
-
-// ltModel adapts LT onto the Model interface. Params: max_rounds (integer
-// >= 0, default 0 = no cap).
+// ltModel is the Linear Threshold model (Kempe et al. 2003) on the
+// diffusion network, ignoring link signs: each node v draws a threshold θv
+// uniform in [0,1] and activates once the summed weight of its active
+// in-neighbors reaches θv. Activated nodes adopt the majority-signed
+// opinion of the in-neighbor mass that activated them, so the returned
+// cascade still carries signed states for comparison with MFC. In-edge
+// weights are used as-is; the model does not normalize them (callers
+// wanting the classical Σw ≤ 1 premise should prepare weights
+// accordingly). Params: max_rounds (integer >= 0, default 0 = no cap).
 type ltModel struct {
 	cfg LTConfig
 }
@@ -161,20 +155,14 @@ func (c SIRConfig) validate() error {
 	return nil
 }
 
-// SIR runs a discrete-time Susceptible-Infectious-Recovered epidemic
+// sirModel is a discrete-time Susceptible-Infectious-Recovered epidemic
 // (Hethcote 2000) on the diffusion network, ignoring signs except that the
 // signed opinion a node would adopt (s(u)*s(u,v)) is still recorded in
 // States for uniformity with the other models. Recovered nodes keep their
 // state but stop transmitting. The returned cascade marks every ever-
-// infected node active; Round records first infection. Thin wrapper over
-// the registry's "sir" model; output is bit-identical for a fixed seed.
-func SIR(g *sgraph.Graph, initiators []int, states []sgraph.State, cfg SIRConfig, rng *xrand.Rand) (*Cascade, error) {
-	return (&sirModel{cfg: cfg}).Run(g, initiators, states, rng)
-}
-
-// sirModel adapts SIR onto the Model interface. Params: beta (number > 0,
-// default 2), gamma (number in (0,1], default 0.3), max_rounds (integer
-// >= 0, default 0 = 10000).
+// infected node active; Round records first infection. Params: beta
+// (number > 0, default 2), gamma (number in (0,1], default 0.3),
+// max_rounds (integer >= 0, default 0 = 10000).
 type sirModel struct {
 	cfg SIRConfig
 }

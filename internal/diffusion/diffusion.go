@@ -332,19 +332,13 @@ func (m *mfcModel) Run(g *sgraph.Graph, initiators []int, states []sgraph.State,
 	return c, nil
 }
 
-// IC runs the classical Independent Cascade model (Kempe et al. 2003) on
-// the diffusion network, ignoring link signs for the activation
+// icModel is the classical Independent Cascade model (Kempe et al. 2003)
+// on the diffusion network, ignoring link signs for the activation
 // probability (p = w) and never flipping: once active, a node keeps the
-// state it was first activated with (s(u)*s(u,v), so sign information still
-// determines opinions, as in a signed IC). This is both a baseline in its
-// own right and MFC with Alpha=1, DisableFlip=true. Thin wrapper over the
-// registry's "ic" model.
-func IC(g *sgraph.Graph, initiators []int, states []sgraph.State, rng *xrand.Rand) (*Cascade, error) {
-	return (&icModel{}).Run(g, initiators, states, rng)
-}
-
-// icModel adapts IC onto the Model interface. IC is MFC pinned at Alpha=1
-// with flipping off, so it takes no params.
+// state it was first activated with (s(u)*s(u,v), so sign information
+// still determines opinions, as in a signed IC). This is both a baseline
+// in its own right and MFC with Alpha=1, DisableFlip=true, so it takes no
+// params.
 type icModel struct {
 	counters *obs.CounterSet
 }

@@ -313,7 +313,7 @@ func TestICMatchesMFCWithoutBoostAndFlip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := IC(g, []int{0}, pos(t), xrand.New(9))
+	a, err := (&icModel{}).Run(g, []int{0}, pos(t), xrand.New(9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +336,7 @@ func TestLT(t *testing.T) {
 	b.AddEdge(0, 2, sgraph.Negative, 1)
 	b.AddEdge(0, 3, sgraph.Positive, 1)
 	g := b.MustBuild()
-	c, err := LT(g, []int{0}, pos(t), LTConfig{}, xrand.New(4))
+	c, err := (&ltModel{cfg: LTConfig{}}).Run(g, []int{0}, pos(t), xrand.New(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +359,7 @@ func TestLTRespectsThresholds(t *testing.T) {
 	g := b.MustBuild()
 	stayed := 0
 	for seed := uint64(0); seed < 50; seed++ {
-		c, err := LT(g, []int{0}, pos(t), LTConfig{}, xrand.New(seed))
+		c, err := (&ltModel{cfg: LTConfig{}}).Run(g, []int{0}, pos(t), xrand.New(seed))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -374,7 +374,7 @@ func TestLTRespectsThresholds(t *testing.T) {
 
 func TestSIR(t *testing.T) {
 	g := line(t, sgraph.Positive, sgraph.Positive, sgraph.Positive)
-	c, err := SIR(g, []int{0}, pos(t), SIRConfig{Beta: 5, Gamma: 0.01}, xrand.New(3))
+	c, err := (&sirModel{cfg: SIRConfig{Beta: 5, Gamma: 0.01}}).Run(g, []int{0}, pos(t), xrand.New(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,13 +386,13 @@ func TestSIR(t *testing.T) {
 
 func TestSIRValidation(t *testing.T) {
 	g := line(t, sgraph.Positive)
-	if _, err := SIR(g, []int{0}, pos(t), SIRConfig{Beta: 0, Gamma: 0.5}, xrand.New(1)); !errors.Is(err, ErrBadCoefficient) {
+	if _, err := (&sirModel{cfg: SIRConfig{Beta: 0, Gamma: 0.5}}).Run(g, []int{0}, pos(t), xrand.New(1)); !errors.Is(err, ErrBadCoefficient) {
 		t.Errorf("beta=0: err = %v", err)
 	}
-	if _, err := SIR(g, []int{0}, pos(t), SIRConfig{Beta: 1, Gamma: 0}, xrand.New(1)); !errors.Is(err, ErrBadCoefficient) {
+	if _, err := (&sirModel{cfg: SIRConfig{Beta: 1, Gamma: 0}}).Run(g, []int{0}, pos(t), xrand.New(1)); !errors.Is(err, ErrBadCoefficient) {
 		t.Errorf("gamma=0: err = %v", err)
 	}
-	if _, err := SIR(g, []int{0}, pos(t), SIRConfig{Beta: 1, Gamma: 1.5}, xrand.New(1)); !errors.Is(err, ErrBadCoefficient) {
+	if _, err := (&sirModel{cfg: SIRConfig{Beta: 1, Gamma: 1.5}}).Run(g, []int{0}, pos(t), xrand.New(1)); !errors.Is(err, ErrBadCoefficient) {
 		t.Errorf("gamma>1: err = %v", err)
 	}
 }

@@ -23,18 +23,20 @@ func testNetwork(t *testing.T, seed uint64, nodes, edges int) *sgraph.Graph {
 	return sgraph.WeightByJaccard(g, 0.1, rng).Reverse()
 }
 
-// TestWrapperAdapterBitIdentity pins the tentpole's migration contract:
-// every legacy free function must produce a cascade bit-identical to its
-// registry adapter configured through Validate, for a fixed seed.
+// TestWrapperAdapterBitIdentity pins that Validate decodes Params into the
+// typed config: for a fixed seed, every model built directly from its
+// typed config (through MFC for "mfc", the unexported adapter otherwise)
+// produces a cascade bit-identical to the registry instance configured
+// through Validate.
 func TestWrapperAdapterBitIdentity(t *testing.T) {
 	g := testNetwork(t, 42, 200, 1200)
 	initiators := []int{0, 7, 33}
 	states := []sgraph.State{sgraph.StatePositive, sgraph.StateNegative, sgraph.StatePositive}
 
 	cases := []struct {
-		model   string
-		params  Params
-		wrapper func() (*Cascade, error)
+		model  string
+		params Params
+		typed  func() (*Cascade, error)
 	}{
 		{"mfc", Params{"alpha": 2.5}, func() (*Cascade, error) {
 			return MFC(g, initiators, states, MFCConfig{Alpha: 2.5}, xrand.New(9))
@@ -43,28 +45,25 @@ func TestWrapperAdapterBitIdentity(t *testing.T) {
 			return MFC(g, initiators, states, MFCConfig{Alpha: 3, DisableFlip: true}, xrand.New(9))
 		}},
 		{"ic", nil, func() (*Cascade, error) {
-			return IC(g, initiators, states, xrand.New(9))
+			return (&icModel{}).Run(g, initiators, states, xrand.New(9))
 		}},
 		{"lt", Params{"max_rounds": 12}, func() (*Cascade, error) {
-			return LT(g, initiators, states, LTConfig{MaxRounds: 12}, xrand.New(9))
+			return (&ltModel{cfg: LTConfig{MaxRounds: 12}}).Run(g, initiators, states, xrand.New(9))
 		}},
 		{"sir", Params{"beta": 1.5, "gamma": 0.4}, func() (*Cascade, error) {
-			return SIR(g, initiators, states, SIRConfig{Beta: 1.5, Gamma: 0.4}, xrand.New(9))
+			return (&sirModel{cfg: SIRConfig{Beta: 1.5, Gamma: 0.4}}).Run(g, initiators, states, xrand.New(9))
 		}},
 		{"voter", Params{"rounds": 15}, func() (*Cascade, error) {
-			return Voter(g, initiators, states, VoterConfig{Rounds: 15}, xrand.New(9))
+			return (&voterModel{cfg: VoterConfig{Rounds: 15}}).Run(g, initiators, states, xrand.New(9))
 		}},
 		{"pushpull", Params{"max_rounds": 60, "stall": 8}, func() (*Cascade, error) {
-			return PushPull(g, initiators, states, PushPullConfig{MaxRounds: 60, Stall: 8}, xrand.New(9))
-		}},
-		{"ltff", Params{"bias": 2.5}, func() (*Cascade, error) {
-			return LTFF(g, initiators, states, LTFFConfig{Bias: 2.5}, xrand.New(9))
+			return (&pushPullModel{cfg: PushPullConfig{MaxRounds: 60, Stall: 8}}).Run(g, initiators, states, xrand.New(9))
 		}},
 	}
 	for _, tc := range cases {
-		want, err := tc.wrapper()
+		want, err := tc.typed()
 		if err != nil {
-			t.Fatalf("model %q wrapper: %v", tc.model, err)
+			t.Fatalf("model %q typed config: %v", tc.model, err)
 		}
 		m, err := Lookup(tc.model)
 		if err != nil {
@@ -78,44 +77,35 @@ func TestWrapperAdapterBitIdentity(t *testing.T) {
 			t.Fatalf("model %q adapter: %v", tc.model, err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("model %q params %v: adapter cascade differs from free-function cascade", tc.model, tc.params)
+			t.Errorf("model %q params %v: Validate-configured cascade differs from typed-config cascade", tc.model, tc.params)
 		}
 	}
 }
 
-// TestNewModelsFixedSeedDeterminism pins that pushpull and ltff are pure
-// functions of (graph, seeds, rng seed): same seed twice is bit-identical.
+// TestNewModelsFixedSeedDeterminism pins that pushpull is a pure function
+// of (graph, seeds, rng seed): same seed twice is bit-identical.
 func TestNewModelsFixedSeedDeterminism(t *testing.T) {
 	g := testNetwork(t, 77, 300, 1800)
 	initiators := []int{2, 50}
 	states := []sgraph.State{sgraph.StatePositive, sgraph.StateNegative}
 
-	for _, name := range []string{"pushpull", "ltff"} {
-		run := func(seed uint64) *Cascade {
-			m, err := Lookup(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			c, err := m.Run(g, initiators, states, xrand.New(seed))
-			if err != nil {
-				t.Fatal(err)
-			}
-			return c
+	run := func(seed uint64) *Cascade {
+		c, err := (&pushPullModel{}).Run(g, initiators, states, xrand.New(seed))
+		if err != nil {
+			t.Fatal(err)
 		}
-		a, b := run(5), run(5)
-		if !reflect.DeepEqual(a, b) {
-			t.Errorf("model %q: same seed produced different cascades", name)
-		}
-		if a.NumInfected() < len(initiators) {
-			t.Errorf("model %q: infected %d below seed count", name, a.NumInfected())
-		}
-		for i, u := range initiators {
-			if a.States[u] != states[i] && name == "ltff" {
-				t.Errorf("model %q: seed %d state mutated", name, u)
-			}
-			if a.FirstRound[u] != 0 {
-				t.Errorf("model %q: seed %d first round = %d", name, u, a.FirstRound[u])
-			}
+		return c
+	}
+	a, b := run(5), run(5)
+	if !reflect.DeepEqual(a, b) {
+		t.Error("same seed produced different cascades")
+	}
+	if a.NumInfected() < len(initiators) {
+		t.Errorf("infected %d below seed count", a.NumInfected())
+	}
+	for _, u := range initiators {
+		if a.FirstRound[u] != 0 {
+			t.Errorf("seed %d first round = %d", u, a.FirstRound[u])
 		}
 	}
 }
@@ -125,7 +115,7 @@ func TestNewModelsFixedSeedDeterminism(t *testing.T) {
 // advances exactly one hop per round and a negative link inverts it.
 func TestPushPullLine(t *testing.T) {
 	g := line(t, sgraph.Positive, sgraph.Negative, sgraph.Positive)
-	c, err := PushPull(g, []int{0}, pos(t), PushPullConfig{}, xrand.New(1))
+	c, err := (&pushPullModel{cfg: PushPullConfig{}}).Run(g, []int{0}, pos(t), xrand.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +150,7 @@ func TestPushPullSignedFanout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := PushPull(g, []int{0}, pos(t), PushPullConfig{}, xrand.New(3))
+	c, err := (&pushPullModel{cfg: PushPullConfig{}}).Run(g, []int{0}, pos(t), xrand.New(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +171,7 @@ func TestPushPullStall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := PushPull(g, []int{0}, pos(t), PushPullConfig{Stall: 4}, xrand.New(1))
+	c, err := (&pushPullModel{cfg: PushPullConfig{Stall: 4}}).Run(g, []int{0}, pos(t), xrand.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,73 +180,6 @@ func TestPushPullStall(t *testing.T) {
 	}
 	if c.NumInfected() != 1 {
 		t.Errorf("NumInfected = %d, want 1", c.NumInfected())
-	}
-}
-
-// TestLTFFNegativityBias pins the model's defining rule: with full
-// in-mass the threshold always trips, and the adopted opinion depends on
-// whether positive mass beats Bias times negative mass.
-func TestLTFFNegativityBias(t *testing.T) {
-	// Seeds 0 (positive) and 1 (positive); 0 -pos(0.6)-> 2, 1 -neg(0.4)-> 2.
-	// Node 2's in-mass is 1.0, so it activates in round 1 regardless of its
-	// threshold draw. posMass=0.6, negMass=0.4.
-	build := func() *sgraph.Graph {
-		b := sgraph.NewBuilder(3)
-		b.AddEdge(0, 2, sgraph.Positive, 0.6)
-		b.AddEdge(1, 2, sgraph.Negative, 0.4)
-		g, err := b.Build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return g
-	}
-	seeds := []int{0, 1}
-	states := []sgraph.State{sgraph.StatePositive, sgraph.StatePositive}
-
-	// Unbiased (Bias=1): 0.6 > 0.4 → positive.
-	c, err := LTFF(build(), seeds, states, LTFFConfig{Bias: 1}, xrand.New(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.States[2] != sgraph.StatePositive {
-		t.Errorf("bias 1: state[2] = %v, want +1", c.States[2])
-	}
-	if c.FirstRound[2] != 1 {
-		t.Errorf("bias 1: FirstRound[2] = %d, want 1", c.FirstRound[2])
-	}
-
-	// Default negativity bias (Bias=2): 0.6 > 2*0.4 is false → negative.
-	c, err = LTFF(build(), seeds, states, LTFFConfig{Bias: DefaultLTFFBias}, xrand.New(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.States[2] != sgraph.StateNegative {
-		t.Errorf("bias 2: state[2] = %v, want -1", c.States[2])
-	}
-}
-
-// TestLTFFBiasMonotonicity: raising the bias can only shrink the positive
-// share of an otherwise identical cascade.
-func TestLTFFBiasMonotonicity(t *testing.T) {
-	g := testNetwork(t, 101, 250, 1500)
-	initiators := []int{0, 4}
-	states := []sgraph.State{sgraph.StatePositive, sgraph.StateNegative}
-	positives := func(bias float64) int {
-		c, err := LTFF(g, initiators, states, LTFFConfig{Bias: bias}, xrand.New(6))
-		if err != nil {
-			t.Fatal(err)
-		}
-		n := 0
-		for _, st := range c.States {
-			if st == sgraph.StatePositive {
-				n++
-			}
-		}
-		return n
-	}
-	p1, p4 := positives(1), positives(4)
-	if p4 > p1 {
-		t.Errorf("positive share grew with bias: bias1=%d bias4=%d", p1, p4)
 	}
 }
 

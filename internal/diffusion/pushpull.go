@@ -41,7 +41,7 @@ func (c PushPullConfig) validate() error {
 	return nil
 }
 
-// PushPull runs round-based push/pull rumour spreading adapted to signed
+// pushPullModel is round-based push/pull rumour spreading adapted to signed
 // topologies, after Patsonakis & Roussopoulos's study of rumour spreading
 // in social networks with negative links. Each round has two half-steps:
 //
@@ -58,15 +58,8 @@ func (c PushPullConfig) validate() error {
 // every contact made, successful or not; Attempts counts contacts that
 // targeted an inactive node. The run ends when every node is active, after
 // MaxRounds, or after Stall consecutive rounds without a new activation.
-// Thin wrapper over the registry's "pushpull" model; output is
-// bit-identical for a fixed seed.
-func PushPull(g *sgraph.Graph, initiators []int, states []sgraph.State, cfg PushPullConfig, rng *xrand.Rand) (*Cascade, error) {
-	return (&pushPullModel{cfg: cfg}).Run(g, initiators, states, rng)
-}
-
-// pushPullModel adapts PushPull onto the Model interface. Params:
-// max_rounds (integer >= 0, default 0 = 10000), stall (integer >= 0,
-// default 0 = 10).
+// Params: max_rounds (integer >= 0, default 0 = 10000), stall (integer
+// >= 0, default 0 = 10).
 type pushPullModel struct {
 	cfg PushPullConfig
 }

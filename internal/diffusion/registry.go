@@ -2,11 +2,11 @@ package diffusion
 
 // This file defines the pluggable model layer: every spread process in
 // this package — the paper's MFC, the classical references (IC, LT, SIR,
-// Voter) and the signed-network models from the related work (pushpull,
-// ltff) — implements the Model interface and registers a factory under its
-// wire name. Callers (the /v1/simulate handler, cmd/mfcsim, the experiment
-// harness) dispatch through Lookup and never switch on model names, so a
-// new model registered here is immediately runnable everywhere.
+// Voter) and the signed push/pull model from the related work — implements
+// the Model interface and registers a factory under its wire name.
+// Callers (the /v1/simulate handler, cmd/mfcsim, the experiment harness)
+// dispatch through Lookup and never switch on model names, so a new model
+// registered here is immediately runnable everywhere.
 
 import (
 	"fmt"

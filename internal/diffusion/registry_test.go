@@ -10,20 +10,23 @@ import (
 )
 
 func TestModelsEnumeratesRegistry(t *testing.T) {
-	want := []string{"ic", "lt", "ltff", "mfc", "pushpull", "sir", "voter"}
+	want := []string{"ic", "lt", "mfc", "pushpull", "sir", "voter"}
 	if got := Models(); !reflect.DeepEqual(got, want) {
 		t.Errorf("Models() = %v, want %v", got, want)
 	}
 }
 
 func TestLookupUnknownModelMessage(t *testing.T) {
-	_, err := Lookup("gossip")
-	if err == nil {
-		t.Fatal("Lookup of unknown model succeeded")
-	}
-	want := `diffusion: unknown model "gossip" (registered: ic, lt, ltff, mfc, pushpull, sir, voter)`
-	if err.Error() != want {
-		t.Errorf("error = %q, want %q", err.Error(), want)
+	// "ltff" is a retired model name: it must stay unknown.
+	for _, name := range []string{"gossip", "ltff"} {
+		_, err := Lookup(name)
+		if err == nil {
+			t.Fatalf("Lookup of unknown model %q succeeded", name)
+		}
+		want := `diffusion: unknown model "` + name + `" (registered: ic, lt, mfc, pushpull, sir, voter)`
+		if err.Error() != want {
+			t.Errorf("error = %q, want %q", err.Error(), want)
+		}
 	}
 }
 
@@ -83,8 +86,6 @@ func TestValidatePinnedMessages(t *testing.T) {
 		{"sir", Params{"beta": -1}, `diffusion: invalid model coefficient: SIR Beta must be positive, got -1`},
 		{"voter", Params{"rounds": 0}, `diffusion: invalid model coefficient: Voter Rounds must be positive, got 0`},
 		{"pushpull", Params{"stall": -2}, `diffusion: invalid model coefficient: PushPull Stall must be non-negative, got -2`},
-		{"ltff", Params{"bias": 0.5}, `diffusion: invalid model coefficient: LTFF Bias must be >= 1, got 0.5`},
-		{"ltff", Params{"threshold": 1}, `diffusion: model "ltff": unknown param "threshold" (accepts: bias, max_rounds)`},
 		{"ic", Params{"alpha": 2}, `diffusion: model "ic": unknown param "alpha" (model takes no params)`},
 	}
 	for _, tc := range cases {

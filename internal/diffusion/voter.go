@@ -25,7 +25,7 @@ type VoterConfig struct {
 	Counters *obs.CounterSet
 }
 
-// Voter runs the signed voter model of Li et al. (WSDM 2013) — the
+// voterModel is the signed voter model of Li et al. (WSDM 2013) — the
 // diffusion model underlying the signed influence-maximization work the
 // paper compares against in Table I. Each round, every node with at least
 // one active in-neighbor picks one of its in-links uniformly at random; if
@@ -37,14 +37,7 @@ type VoterConfig struct {
 //
 // The returned cascade records the states after the final round;
 // ActivatedBy/FirstActivatedBy track the neighbor whose opinion was last/
-// first adopted. Thin wrapper over the registry's "voter" model; output is
-// bit-identical for a fixed seed.
-func Voter(g *sgraph.Graph, initiators []int, states []sgraph.State, cfg VoterConfig, rng *xrand.Rand) (*Cascade, error) {
-	return (&voterModel{cfg: cfg}).Run(g, initiators, states, rng)
-}
-
-// voterModel adapts Voter onto the Model interface. Params: rounds
-// (integer >= 1, default 30).
+// first adopted. Params: rounds (integer >= 1, default 30).
 type voterModel struct {
 	cfg VoterConfig
 }

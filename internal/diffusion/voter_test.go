@@ -13,7 +13,7 @@ func TestVoterDeterministicChain(t *testing.T) {
 	// Single in-neighbor each: the pick is forced, so after enough rounds
 	// the whole chain holds the propagated opinion.
 	g := line(t, sgraph.Positive, sgraph.Negative)
-	c, err := Voter(g, []int{0}, pos(t), VoterConfig{Rounds: 5}, xrand.New(1))
+	c, err := (&voterModel{cfg: VoterConfig{Rounds: 5}}).Run(g, []int{0}, pos(t), xrand.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestVoterSeedsAreStubborn(t *testing.T) {
 	b.AddEdge(0, 1, sgraph.Negative, 1)
 	b.AddEdge(1, 0, sgraph.Negative, 1)
 	g := b.MustBuild()
-	c, err := Voter(g, []int{0}, pos(t), VoterConfig{Rounds: 9}, xrand.New(3))
+	c, err := (&voterModel{cfg: VoterConfig{Rounds: 9}}).Run(g, []int{0}, pos(t), xrand.New(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestVoterOpinionChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := Voter(g, seeds, states, VoterConfig{Rounds: 30}, xrand.New(7))
+	c, err := (&voterModel{cfg: VoterConfig{Rounds: 30}}).Run(g, seeds, states, xrand.New(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,10 +72,10 @@ func TestVoterOpinionChurn(t *testing.T) {
 
 func TestVoterValidation(t *testing.T) {
 	g := line(t, sgraph.Positive)
-	if _, err := Voter(g, []int{0}, pos(t), VoterConfig{}, xrand.New(1)); !errors.Is(err, ErrBadCoefficient) {
+	if _, err := (&voterModel{cfg: VoterConfig{}}).Run(g, []int{0}, pos(t), xrand.New(1)); !errors.Is(err, ErrBadCoefficient) {
 		t.Errorf("rounds=0: err = %v", err)
 	}
-	if _, err := Voter(g, nil, nil, VoterConfig{Rounds: 3}, xrand.New(1)); !errors.Is(err, ErrNoInitiators) {
+	if _, err := (&voterModel{cfg: VoterConfig{Rounds: 3}}).Run(g, nil, nil, xrand.New(1)); !errors.Is(err, ErrNoInitiators) {
 		t.Errorf("no seeds: err = %v", err)
 	}
 }
@@ -90,7 +90,7 @@ func TestVoterFirstActivationForest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := Voter(dif, seeds, states, VoterConfig{Rounds: 20}, xrand.New(10))
+	c, err := (&voterModel{cfg: VoterConfig{Rounds: 20}}).Run(dif, seeds, states, xrand.New(10))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -102,8 +102,8 @@ func TestFigure4Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 7 {
-		t.Fatalf("methods = %d, want 7", len(res.Rows))
+	if len(res.Rows) != 5 {
+		t.Fatalf("methods = %d, want 5", len(res.Rows))
 	}
 	byName := map[string]MethodScore{}
 	for _, r := range res.Rows {

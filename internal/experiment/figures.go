@@ -97,8 +97,8 @@ func figure4Detectors(w Workload) ([]core.Detector, error) {
 	}
 	return []core.Detector{
 		rid009, rid01, tree, core.RIDPositive{},
-		// Beyond-paper comparators from the rumor-source literature.
-		core.RumorCentrality{}, core.JordanCenter{}, core.DegreeMax{},
+		// The one beyond-paper comparator from the rumor-source literature.
+		core.RumorCentrality{},
 	}, nil
 }
 

@@ -40,9 +40,6 @@ const (
 	StageGraphBuild = "graph_build"
 	// StageSnapshot is observed-state binding onto the built network.
 	StageSnapshot = "snapshot"
-	// StageReverse is diffusion-direction reversal (CLI pipelines only;
-	// wire traces ship pre-reversed).
-	StageReverse = "reverse"
 	// StageComponents is infected-subgraph induction plus connected
 	// component detection (Definition 6).
 	StageComponents = "components"

@@ -32,14 +32,6 @@ type TraceContext struct {
 	Flags byte
 }
 
-// Valid reports whether the context carries well-formed non-zero ids.
-func (tc TraceContext) Valid() bool {
-	return ValidTraceID(tc.TraceID) && validSpanID(tc.SpanID)
-}
-
-// Sampled reports the sampled flag.
-func (tc TraceContext) Sampled() bool { return tc.Flags&FlagSampled != 0 }
-
 // Traceparent serializes the context as a version-00 traceparent header.
 func (tc TraceContext) Traceparent() string {
 	var b strings.Builder
@@ -109,16 +101,6 @@ func ParseTraceparent(h string) (TraceContext, error) {
 	}
 	flags, _ := hex.DecodeString(flagsHex)
 	return TraceContext{TraceID: traceID, SpanID: spanID, Flags: flags[0]}, nil
-}
-
-// ValidTraceID reports whether id is a W3C trace id: exactly 32 lowercase
-// hex characters, not all zero.
-func ValidTraceID(id string) bool {
-	return len(id) == 32 && isLowerHex(id) && !allZero(id)
-}
-
-func validSpanID(id string) bool {
-	return len(id) == 16 && isLowerHex(id) && !allZero(id)
 }
 
 func isLowerHex(s string) bool {

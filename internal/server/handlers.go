@@ -22,8 +22,8 @@ import (
 type DetectRequest struct {
 	// Trace is the instance to solve (internal/trace schema, version 1).
 	Trace *trace.Trace `json:"trace"`
-	// Detector selects the method: rid (default), rid-tree, rid-positive,
-	// rumor-centrality, jordan-center, degree-max or ensemble.
+	// Detector selects the method: rid (default), rid-tree, rid-positive
+	// or rumor-centrality.
 	Detector string `json:"detector,omitempty"`
 	// Beta is RID's per-extra-initiator penalty; zero defaults to 0.3.
 	Beta float64 `json:"beta,omitempty"`
@@ -96,7 +96,7 @@ type SimulateRequest struct {
 	Initiators []int  `json:"initiators"`
 	States     []int8 `json:"states,omitempty"`
 	// Model selects the registered diffusion model ("mfc", "ic", "lt",
-	// "ltff", "pushpull", "sir", "voter"); empty defaults to "mfc". An
+	// "pushpull", "sir", "voter"); empty defaults to "mfc". An
 	// unknown name is a 400 listing the registered models.
 	Model string `json:"model,omitempty"`
 	// Params carries the model-specific parameters, decoded and validated

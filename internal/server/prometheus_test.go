@@ -274,8 +274,8 @@ func TestDetectStageTimingsAndTraceID(t *testing.T) {
 	if err := json.Unmarshal(body, &det2); err != nil {
 		t.Fatal(err)
 	}
-	if !obs.ValidTraceID(det2.TraceID) {
-		t.Errorf("minted trace ID %q, want 32 lowercase hex chars", det2.TraceID)
+	if id := det2.TraceID; len(id) != 32 || strings.Trim(id, "0123456789abcdef") != "" || strings.Trim(id, "0") == "" {
+		t.Errorf("minted trace ID %q, want 32 lowercase hex chars, not all zero", id)
 	}
 	if tc, err := obs.ParseTraceparent(resp2.Header.Get("traceparent")); err != nil || tc.TraceID != det2.TraceID {
 		t.Errorf("response traceparent %q (%v), want trace id %q", resp2.Header.Get("traceparent"), err, det2.TraceID)

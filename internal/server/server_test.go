@@ -504,10 +504,27 @@ func TestHealthzAlwaysAnswers(t *testing.T) {
 	}
 }
 
+// TestDetectAllMethods runs every served detector and pins that each
+// retired name gets the unknown-detector 400.
 func TestDetectAllMethods(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	tr := sampleTrace(t, 8, 200, 1200, 4)
-	for _, method := range []string{"rid", "rid-tree", "rid-positive", "rumor-centrality", "jordan-center", "degree-max", "ensemble"} {
+	for _, method := range []string{"jordan-center", "degree-max", "ensemble"} {
+		t.Run(method, func(t *testing.T) {
+			resp, body := postJSON(t, ts, "/v1/detect", DetectRequest{Trace: tr, Detector: method})
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("status = %d, want 400 (body %s)", resp.StatusCode, body)
+			}
+			var er errorResponse
+			if err := json.Unmarshal(body, &er); err != nil {
+				t.Fatal(err)
+			}
+			if want := `unknown detector "` + method + `"`; er.Error != want {
+				t.Fatalf("error = %q, want %q", er.Error, want)
+			}
+		})
+	}
+	for _, method := range []string{"rid", "rid-tree", "rid-positive", "rumor-centrality"} {
 		t.Run(method, func(t *testing.T) {
 			resp, body := postJSON(t, ts, "/v1/detect", DetectRequest{Trace: tr, Detector: method})
 			if resp.StatusCode != http.StatusOK {

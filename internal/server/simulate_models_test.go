@@ -17,8 +17,8 @@ func TestSimulateAllModels(t *testing.T) {
 	tr := sampleTrace(t, 11, 150, 900, 3)
 
 	models := diffusion.Models()
-	if len(models) != 7 {
-		t.Fatalf("registered models = %v, want 7", models)
+	if len(models) != 6 {
+		t.Fatalf("registered models = %v, want 6", models)
 	}
 	for _, name := range models {
 		var sim SimulateResponse
@@ -58,7 +58,6 @@ func TestSimulateModelParams(t *testing.T) {
 	}{
 		{"mfc", map[string]any{"alpha": 2.5, "disable_flip": true}},
 		{"lt", map[string]any{"max_rounds": 4}},
-		{"ltff", map[string]any{"bias": 3.0, "max_rounds": 50}},
 		{"pushpull", map[string]any{"max_rounds": 40, "stall": 5}},
 		{"sir", map[string]any{"beta": 1.5, "gamma": 0.5}},
 		{"voter", map[string]any{"rounds": 10}},
@@ -94,7 +93,7 @@ func TestSimulatePinnedErrors(t *testing.T) {
 		{
 			name: "unknown model",
 			req:  SimulateRequest{Trace: tr, Initiators: []int{0}, Model: "gossip"},
-			want: `diffusion: unknown model "gossip" (registered: ic, lt, ltff, mfc, pushpull, sir, voter)`,
+			want: `diffusion: unknown model "gossip" (registered: ic, lt, mfc, pushpull, sir, voter)`,
 		},
 		{
 			name: "bad param type",
@@ -117,9 +116,9 @@ func TestSimulatePinnedErrors(t *testing.T) {
 			want: `diffusion: invalid model coefficient: SIR Gamma must be in (0,1], got 2`,
 		},
 		{
-			name: "ltff bias below one",
-			req:  SimulateRequest{Trace: tr, Initiators: []int{0}, Model: "ltff", Params: map[string]any{"bias": 0.5}},
-			want: `diffusion: invalid model coefficient: LTFF Bias must be >= 1, got 0.5`,
+			name: "retired model",
+			req:  SimulateRequest{Trace: tr, Initiators: []int{0}, Model: "ltff"},
+			want: `diffusion: unknown model "ltff" (registered: ic, lt, mfc, pushpull, sir, voter)`,
 		},
 		{
 			name: "top-level alpha",

@@ -72,8 +72,8 @@ func TestTracePropagationEndToEnd(t *testing.T) {
 		if echoed.SpanID == inboundSpanID {
 			t.Fatal("server must mint its own span id, not echo the caller's")
 		}
-		if want := flags == "01"; echoed.Sampled() != want {
-			t.Fatalf("inbound flags %s: response sampled = %v, want the flag kept", flags, echoed.Sampled())
+		if want := flags == "01"; (echoed.Flags&obs.FlagSampled != 0) != want {
+			t.Fatalf("inbound flags %s: response flags = %02x, want the flag kept", flags, echoed.Flags)
 		}
 		if got := resp.Header.Get("X-Trace-Id"); got != "" {
 			t.Fatalf("X-Trace-Id %q echoed, want no legacy header", got)

@@ -171,40 +171,6 @@ func NewRIDPositive() Detector { return core.RIDPositive{} }
 // NewRumorCentrality returns the Shah-Zaman rumor-centrality comparator.
 func NewRumorCentrality() Detector { return core.RumorCentrality{} }
 
-// NewJordanCenter returns the distance-center (Jordan center) comparator.
-func NewJordanCenter() Detector { return core.JordanCenter{} }
-
-// NewDegreeMax returns the highest-degree-per-component comparator.
-func NewDegreeMax() Detector { return core.DegreeMax{} }
-
-// SimulateVoter runs the signed voter model (Li et al., WSDM 2013) for the
-// given number of rounds from explicit or sampled initiators, mirroring
-// SimulateMFC.
-func SimulateVoter(social *Graph, cfg SimConfig, rounds int, rng *Rand) (*Cascade, *Graph, error) {
-	dif := social.Reverse()
-	seeds, states := cfg.Initiators, cfg.States
-	if seeds == nil {
-		n := cfg.N
-		if n == 0 {
-			n = 1
-		}
-		theta := cfg.Theta
-		if theta == 0 {
-			theta = 0.5
-		}
-		var err error
-		seeds, states, err = diffusion.SampleInitiators(dif.NumNodes(), n, theta, rng)
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	c, err := diffusion.Voter(dif, seeds, states, diffusion.VoterConfig{Rounds: rounds}, rng)
-	if err != nil {
-		return nil, nil, err
-	}
-	return c, dif, nil
-}
-
 // BalanceCensus is a signed-triangle census; see internal/balance.
 type BalanceCensus = balance.Census
 

@@ -89,27 +89,6 @@ func TestBaselineFacades(t *testing.T) {
 	}
 }
 
-func TestVoterFacade(t *testing.T) {
-	rng := repro.NewRand(21)
-	social, err := repro.GenerateNetwork(500, 3000, 0.8, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, dif, err := repro.SimulateVoter(social, repro.SimConfig{N: 10}, 15, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dif.NumNodes() != 500 {
-		t.Fatal("diffusion net wrong size")
-	}
-	if c.NumInfected() < 10 {
-		t.Errorf("voter infected = %d", c.NumInfected())
-	}
-	if c.Rounds != 15 {
-		t.Errorf("rounds = %d, want 15", c.Rounds)
-	}
-}
-
 func TestBalanceFacade(t *testing.T) {
 	g, err := repro.LoadDataset("Epinions", 0.01, repro.NewRand(2))
 	if err != nil {
@@ -121,31 +100,6 @@ func TestBalanceFacade(t *testing.T) {
 	}
 	if c.BalancedFraction < 0.6 {
 		t.Errorf("balanced fraction = %g, want >= 0.6 (balance-aware closure)", c.BalancedFraction)
-	}
-}
-
-func TestCenterDetectorFacades(t *testing.T) {
-	rng := repro.NewRand(41)
-	social, err := repro.GenerateNetwork(600, 3600, 0.8, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, dif, err := repro.SimulateMFC(social, repro.SimConfig{N: 10}, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap, err := repro.NewSnapshot(dif, c.States)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range []repro.Detector{repro.NewJordanCenter(), repro.NewDegreeMax()} {
-		det, err := d.Detect(snap)
-		if err != nil {
-			t.Fatalf("%s: %v", d.Name(), err)
-		}
-		if len(det.Initiators) == 0 {
-			t.Errorf("%s found nothing", d.Name())
-		}
 	}
 }
 
